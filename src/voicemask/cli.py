@@ -102,7 +102,8 @@ def _cmd_transform(parser, args) -> int:
     buf = read_wav(args.in_path)
     cfg = StftConfig()
     if args.degree is not None:
-        out = DegreeSchedule(args.algo).apply(buf, args.degree, args.gender, cfg, args.variant)
+        schedule = DegreeSchedule(args.algo)
+        out = schedule.apply(schedule.analyse(buf, cfg), args.degree, args.gender, args.variant)
     elif args.ratio is not None:
         out = pitch_shift(buf, PitchShiftSpec(ratio=args.ratio, variant=args.variant), cfg)
     else:

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     VoicemaskError,
 )
-from .phase_vocoder import PitchShiftSpec, pitch_shift
+from .phase_vocoder import PitchAnalysis, PitchShiftSpec, analyse_pitch, shift_analysed
 from .signal_core import AudioBuffer, StftConfig, read_wav, write_wav
 from .speaker_id import (
     FeatureConfig,
@@ -32,7 +32,7 @@ from .speaker_id import (
     identify_speaker,
     train_gender_models,
 )
-from .vtln import WarpSpec, vtln_transform
+from .vtln import WarpAnalysis, WarpSpec, analyse_warp, warp_analysed
 
 __all__ = [
     "ALGORITHMS",
@@ -55,7 +55,7 @@ log = logging.getLogger(__name__)
 
 ALGORITHMS = ("voc", "vocf", "quadratic", "bilinear")
 
-_VTLN_ALGORITHMS = ("quadratic", "bilinear")
+_PITCH_ALGORITHMS = ("voc", "vocf")
 _MANIFEST_HEADER = ["path", "speaker_id", "gender", "partition"]
 _SWEEP_HEADER = [
     "algorithm",
@@ -164,6 +164,11 @@ class DegreeSchedule:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
 
+    @property
+    def family(self) -> str:
+        """``pitch`` or ``warp``; schedules of one family share an analysis."""
+        return "pitch" if self.algorithm in _PITCH_ALGORITHMS else "warp"
+
     def parameter(self, degree: int, gender: str | None = None) -> float:
         if not 0 <= degree <= 25:
             raise ValueError(f"degree must be in 0..25, got {degree}")
@@ -176,18 +181,26 @@ class DegreeSchedule:
         step = _QUADRATIC_STEP if self.algorithm == "quadratic" else _BILINEAR_STEP
         return step[gender] * degree
 
+    def analyse(
+        self, buf: AudioBuffer, cfg: StftConfig = StftConfig()
+    ) -> PitchAnalysis | WarpAnalysis:
+        """The degree-independent analysis of ``buf`` that apply() modifies."""
+        if self.family == "pitch":
+            return analyse_pitch(buf, cfg)
+        return analyse_warp(buf, cfg)
+
     def apply(
         self,
-        buf: AudioBuffer,
+        analysis: PitchAnalysis | WarpAnalysis,
         degree: int,
         gender: str | None = None,
-        cfg: StftConfig = StftConfig(),
         variant: str = "identity-locked",
     ) -> AudioBuffer:
+        """Modify and resynthesize an analysis from analyse() at one degree."""
         param = self.parameter(degree, gender)
-        if self.algorithm in ("voc", "vocf"):
-            return pitch_shift(buf, PitchShiftSpec(ratio=param, variant=variant), cfg)
-        return vtln_transform(buf, WarpSpec(self.algorithm, param), cfg)
+        if self.family == "pitch":
+            return shift_analysed(analysis, PitchShiftSpec(ratio=param, variant=variant))
+        return warp_analysed(analysis, WarpSpec(self.algorithm, param))
 
 
 # --- synthetic corpus ----------------------------------------------------------
@@ -470,9 +483,12 @@ def run_degree_sweep(
 ) -> SweepResult:
     """Run the full modification sweep over a corpus.
 
-    Models are enrolled on unmodified train audio only. Per-file transform or
-    modeling failures are logged and excluded from that cell's n_files; the
-    aggregation is order-independent.
+    Models are enrolled on unmodified train audio only. Each test file is
+    read and analysed once per transform family, then modified at every
+    (algorithm, degree) cell. A file that cannot be read or analysed is
+    logged once and left out of every cell; a per-cell transform or modeling
+    failure is logged and excluded from that cell's n_files. The aggregation
+    is order-independent.
     """
     algorithms = tuple(algorithms)
     degrees = tuple(int(d) for d in degrees)
@@ -481,15 +497,24 @@ def run_degree_sweep(
             raise ValueError(f"unknown algorithm {algo!r}")
     speaker_models, male, female = _enroll(corpus, feature_cfg)
     enrolled = [speaker_models[s] for s in sorted(speaker_models)]
-    schedules = {algo: DegreeSchedule(algo) for algo in algorithms}
+    schedules = [DegreeSchedule(algo) for algo in algorithms]
+    analysers = {schedule.family: schedule for schedule in schedules}
 
     counts: dict[tuple[str, str, int], list[int]] = {}
     for entry in corpus.test_entries():
-        buf = read_wav(entry.path)
-        for algo in algorithms:
+        try:
+            buf = read_wav(entry.path)
+            analyses = {family: s.analyse(buf, stft_cfg) for family, s in analysers.items()}
+        except (VoicemaskError, OSError) as exc:
+            log.warning("skipping %s: %s", entry.path, exc)
+            continue
+        for schedule in schedules:
+            algo = schedule.algorithm
             for degree in degrees:
                 try:
-                    modified = schedules[algo].apply(buf, degree, entry.gender, stft_cfg, variant)
+                    modified = schedule.apply(
+                        analyses[schedule.family], degree, entry.gender, variant
+                    )
                     feats = extract_cepstra(modified, feature_cfg)
                     test_model = covariance_model(feats, label="probe")
                     decided, _ = classify_gender(test_model, male, female)
@@ -501,6 +526,7 @@ def run_degree_sweep(
                 cell[0] += decided == entry.gender
                 cell[1] += top_label == entry.speaker_id
                 cell[2] += 1
+        del analyses  # free this file's analyses before the next file's are built
 
     rows = [
         SweepRow(algo, gender, degree, hits_g / n, hits_i / n, n)

@@ -6,6 +6,10 @@ peak-proportional shift, and phase propagation across frames. Two propagation
 variants are provided: ``identity-locked`` rotates each region rigidly by an
 accumulated per-track angle, ``loose`` re-accumulates every bin's phase
 independently.
+
+Peaks, regions and instantaneous frequencies depend on the analysis spectrum
+alone, not on the ratio, so ``analyse_pitch`` computes them once per buffer
+and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
 """
 
 from __future__ import annotations
@@ -20,17 +24,20 @@ from .signal_core import (
     Spectrogram,
     StftConfig,
     bin_frequencies,
-    istft,
+    resynthesize,
     stft,
 )
 
 __all__ = [
     "VARIANTS",
     "PitchShiftSpec",
+    "PitchAnalysis",
     "detect_peaks",
     "regions_of_influence",
     "shift_coefficients",
     "PhasePropagator",
+    "analyse_pitch",
+    "shift_analysed",
     "pitch_shift",
     "princarg",
 ]
@@ -63,7 +70,15 @@ def princarg(phase):
     return phase - 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
 
 
-def _detect_peaks(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
+def detect_peaks(frame: np.ndarray, neighbor_span: int = 2) -> np.ndarray:
+    """Indices of bins whose magnitude strictly exceeds all neighbors in span.
+
+    Only interior bins with a complete neighborhood qualify; the result is a
+    strictly increasing int array (possibly empty).
+    """
+    if neighbor_span not in (2, 4):
+        raise ValueError(f"neighbor_span must be 2 or 4, got {neighbor_span}")
+    mag = np.abs(np.asarray(frame))
     n = mag.size
     half = neighbor_span // 2
     if n < 2 * half + 1:
@@ -76,18 +91,17 @@ def _detect_peaks(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
     return np.flatnonzero(is_peak) + half
 
 
-def detect_peaks(frame: np.ndarray, neighbor_span: int = 2) -> np.ndarray:
-    """Indices of bins whose magnitude strictly exceeds all neighbors in span.
+def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Partition all bins into contiguous regions, one per peak.
 
-    Only interior bins with a complete neighborhood qualify; the result is a
-    strictly increasing int array (possibly empty).
+    The boundary between consecutive peaks sits at the lowest-magnitude bin
+    strictly between them (ties to the lower index) and closes the left
+    region. Returns an int array of (peak, lo, hi) rows covering every bin.
     """
-    if neighbor_span not in (2, 4):
-        raise ValueError(f"neighbor_span must be 2 or 4, got {neighbor_span}")
-    return _detect_peaks(np.abs(np.asarray(frame)), neighbor_span)
-
-
-def _regions_of_influence(mag: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    peaks = np.asarray(peaks, dtype=np.intp)
+    if peaks.size == 0:
+        raise EmptyPeakSet("cannot partition a frame with no peaks")
+    mag = np.abs(np.asarray(frame))
     n = mag.size
     regions = np.empty((peaks.size, 3), dtype=np.intp)
     regions[:, 0] = peaks
@@ -115,17 +129,10 @@ def _regions_of_influence(mag: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return regions
 
 
-def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Partition all bins into contiguous regions, one per peak.
-
-    The boundary between consecutive peaks sits at the lowest-magnitude bin
-    strictly between them (ties to the lower index) and closes the left
-    region. Returns an int array of (peak, lo, hi) rows covering every bin.
-    """
-    peaks = np.asarray(peaks, dtype=np.intp)
-    if peaks.size == 0:
-        raise EmptyPeakSet("cannot partition a frame with no peaks")
-    return _regions_of_influence(np.abs(np.asarray(frame)), peaks)
+def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> np.ndarray:
+    """Per-bin frequency from the phase advance over one hop (frames along the last axis)."""
+    omega = bin_frequencies(phase.shape[-1])
+    return omega + princarg(phase - prev_phase - hop * omega) / hop
 
 
 def _region_shifts(peaks: np.ndarray, ratio: float) -> np.ndarray:
@@ -181,10 +188,6 @@ class PhasePropagator:
         """Accumulated rotation angle per live track, keyed by destination bin."""
         return {int(d): float(a) for d, a in zip(self._track_dests, self._track_angles)}
 
-    def _instantaneous_freq(self, phase: np.ndarray) -> np.ndarray:
-        dev = phase - self._prev_analysis_phase - self.hop * self.omega
-        return self.omega + princarg(dev) / self.hop
-
     def _match_tracks(self, dests: np.ndarray):
         """Previous-track angle for each destination, NaN where unmatched."""
         matched = np.full(dests.size, np.nan)
@@ -210,18 +213,27 @@ class PhasePropagator:
             dests, angles = dests[keep], angles[keep]
         self._track_dests, self._track_angles = dests, angles
 
-    def advance(self, frame: np.ndarray, partition: np.ndarray | None) -> np.ndarray:
+    def advance(
+        self, frame: np.ndarray, partition: np.ndarray | None, inst_freq: np.ndarray | None = None
+    ) -> np.ndarray:
         """Produce the synthesis frame for one analysis frame.
 
         ``partition`` is None for unvoiced (peak-free) frames, which pass
         through unshifted with phases advanced by hop * ratio * omega.
+        ``inst_freq`` is the frame's per-bin instantaneous frequency, as a
+        PitchAnalysis holds it; when None it is measured from the phase
+        advance since the previous frame. Give it for every frame or none.
         """
         frame = np.asarray(frame, dtype=np.complex128)
+        if inst_freq is None:
+            phase = np.angle(frame)
+            if self._prev_analysis_phase is not None:
+                inst_freq = _instantaneous_freq(phase, self._prev_analysis_phase, self.hop)
+            self._prev_analysis_phase = phase
         ratio = self.spec.ratio
-        phase = np.angle(frame)
         n = frame.size
 
-        if self._prev_analysis_phase is None:
+        if self._synth_phase is None:
             # First frame: synthesis phases equal analysis phases.
             if partition is None:
                 out = frame
@@ -230,7 +242,6 @@ class PhasePropagator:
                 peaks = partition[:, 0]
                 dests = peaks + _region_shifts(peaks, ratio)
                 self._store_tracks(dests, np.zeros(dests.size))
-            self._prev_analysis_phase = phase
             self._synth_phase = np.angle(out)
             return out
 
@@ -238,11 +249,9 @@ class PhasePropagator:
             theta = self._synth_phase + self.hop * ratio * self.omega
             out = np.abs(frame) * np.exp(1j * theta)
             self._store_tracks(np.empty(0, dtype=np.intp), np.empty(0))
-            self._prev_analysis_phase = phase
             self._synth_phase = theta
             return out
 
-        omega_hat = self._instantaneous_freq(phase)
         partition = np.asarray(partition, dtype=np.intp)
         src, dst, bin_region, shifts = _bin_translation(partition, ratio, n)
         peaks = partition[:, 0]
@@ -250,7 +259,7 @@ class PhasePropagator:
 
         if self.spec.variant == "identity-locked":
             prev_angles = self._match_tracks(dests)
-            increments = self.hop * (ratio - 1.0) * omega_hat[peaks]
+            increments = self.hop * (ratio - 1.0) * inst_freq[peaks]
             angles = np.where(np.isnan(prev_angles), 0.0, prev_angles + increments)
             out = np.zeros_like(frame)
             np.add.at(out, dst, frame[src] * np.exp(1j * angles)[bin_region])
@@ -259,28 +268,73 @@ class PhasePropagator:
         else:
             shifted = np.zeros_like(frame)
             np.add.at(shifted, dst, frame[src])
-            target = omega_hat.copy()
-            target[dst] = omega_hat[src]  # region order: later regions win collisions
+            target = inst_freq.copy()
+            target[dst] = inst_freq[src]  # region order: later regions win collisions
             theta = self._synth_phase + self.hop * ratio * target
             out = np.abs(shifted) * np.exp(1j * theta)
             self._store_tracks(np.empty(0, dtype=np.intp), np.empty(0))
             self._synth_phase = theta
-
-        self._prev_analysis_phase = phase
         return out
+
+
+@dataclass(frozen=True)
+class PitchAnalysis:
+    """Ratio-independent analysis of one buffer, shared by its pitch shifts.
+
+    ``frames`` are the STFT frames. Row t of ``inst_freq`` is the per-bin
+    instantaneous frequency of frame t, measured from the phase advance
+    since frame t-1; row 0 has no predecessor and holds the bin centres.
+    ``partitions`` holds each frame's regions of influence, or None for a
+    peak-free frame, found with ``neighbor_span``. All arrays are read-only.
+    """
+
+    frames: np.ndarray
+    inst_freq: np.ndarray
+    partitions: tuple
+    neighbor_span: int
+    config: StftConfig
+    sample_rate: int
+    n_samples: int
+
+    def __post_init__(self):
+        for array in (self.frames, self.inst_freq, *self.partitions):
+            if array is not None:
+                array.setflags(write=False)
+
+
+def analyse_pitch(
+    buf: AudioBuffer, cfg: StftConfig = StftConfig(), neighbor_span: int = 2
+) -> PitchAnalysis:
+    """Analyse a buffer once for pitch shifting at any ratio."""
+    frames = stft(buf, cfg).frames
+    partitions = []
+    for mag in np.abs(frames):
+        peaks = detect_peaks(mag, neighbor_span)
+        partitions.append(regions_of_influence(mag, peaks) if peaks.size else None)
+    phase = np.angle(frames)
+    inst_freq = np.empty_like(phase)
+    inst_freq[0] = bin_frequencies(cfg.n_bins)
+    inst_freq[1:] = _instantaneous_freq(phase[1:], phase[:-1], cfg.hop)
+    return PitchAnalysis(
+        frames, inst_freq, tuple(partitions), neighbor_span, cfg, buf.sample_rate, len(buf)
+    )
+
+
+def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer:
+    """Shift the pitch of an analysed buffer by spec.ratio; duration is preserved."""
+    if spec.neighbor_span != analysis.neighbor_span:
+        raise ValueError(
+            f"analysis found peaks with neighbor_span {analysis.neighbor_span}, "
+            f"spec asks for {spec.neighbor_span}"
+        )
+    prop = PhasePropagator(spec, analysis.config)
+    out_frames = np.empty_like(analysis.frames)
+    for t, partition in enumerate(analysis.partitions):
+        out_frames[t] = prop.advance(analysis.frames[t], partition, analysis.inst_freq[t])
+    spectrogram = Spectrogram(out_frames, analysis.config, analysis.sample_rate)
+    return resynthesize(spectrogram, analysis.n_samples)
 
 
 def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
     """Shift the pitch of a buffer by spec.ratio; duration is preserved."""
-    sg = stft(buf, cfg)
-    out_frames = np.empty_like(sg.frames)
-    prop = PhasePropagator(spec, cfg)
-    mags = np.abs(sg.frames)
-    for t in range(sg.n_frames):
-        peaks = _detect_peaks(mags[t], spec.neighbor_span)
-        partition = _regions_of_influence(mags[t], peaks) if peaks.size else None
-        out_frames[t] = prop.advance(sg.frames[t], partition)
-    out = istft(Spectrogram(out_frames, cfg, sg.sample_rate)).samples
-    if out.size < len(buf):
-        out = np.concatenate([out, np.zeros(len(buf) - out.size)])
-    return AudioBuffer(out[: len(buf)], buf.sample_rate)
+    return shift_analysed(analyse_pitch(buf, cfg, spec.neighbor_span), spec)

@@ -25,6 +25,7 @@ __all__ = [
     "write_wav",
     "stft",
     "istft",
+    "resynthesize",
 ]
 
 
@@ -252,7 +253,8 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     """
     cfg = spec.config
     w = cfg.window_samples()
-    frames = np.fft.irfft(spec.frames, n=cfg.frame_len, axis=1) * w
+    frames = np.fft.irfft(spec.frames, n=cfg.frame_len, axis=1)
+    frames *= w  # in place: no second (n_frames, frame_len) array at the memory peak
     out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
     acc = np.zeros(out_len)
     norm = np.zeros(out_len)
@@ -269,3 +271,11 @@ def istft(spec: Spectrogram) -> AudioBuffer:
         return AudioBuffer(np.zeros(out_len), spec.sample_rate)
     out = acc / np.maximum(norm, 1e-2 * peak)
     return AudioBuffer(out, spec.sample_rate)
+
+
+def resynthesize(spec: Spectrogram, n_samples: int) -> AudioBuffer:
+    """Inverse STFT zero-padded or trimmed to ``n_samples``: every transform's last step."""
+    out = istft(spec).samples
+    if out.size < n_samples:
+        out = np.concatenate([out, np.zeros(n_samples - out.size)])
+    return AudioBuffer(out[:n_samples], spec.sample_rate)

@@ -3,6 +3,10 @@
 All warps are monotone maps of normalized frequency [0, pi] onto itself that
 fix both endpoints. The linear families (symmetric, asymmetric, power) are
 identities at alpha = 1; quadratic and bilinear at alpha = 0.
+
+The magnitude and unwrapped phase a warp resamples do not depend on the warp,
+so ``analyse_warp`` computes them once per buffer and ``warp_analysed``
+resamples and resynthesizes them for any warp.
 """
 
 from __future__ import annotations
@@ -12,9 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAlpha, NotInvertible
-from .signal_core import AudioBuffer, Spectrogram, StftConfig, bin_frequencies, istft, stft
+from .signal_core import AudioBuffer, Spectrogram, StftConfig, bin_frequencies, resynthesize, stft
 
-__all__ = ["FAMILIES", "WarpSpec", "warp_value", "invert_warp", "warp_spectrum", "vtln_transform"]
+__all__ = [
+    "FAMILIES",
+    "WarpSpec",
+    "WarpAnalysis",
+    "warp_value",
+    "invert_warp",
+    "warp_spectrum",
+    "analyse_warp",
+    "warp_analysed",
+    "vtln_transform",
+]
 
 FAMILIES = ("symmetric", "asymmetric", "quadratic", "power", "bilinear")
 
@@ -158,17 +172,43 @@ def warp_spectrum(frame: np.ndarray, spec: WarpSpec) -> np.ndarray:
     return _resample_frames(np.abs(bins), np.unwrap(np.angle(bins)), pos)
 
 
+@dataclass(frozen=True)
+class WarpAnalysis:
+    """Warp-independent analysis of one buffer, shared by its warps.
+
+    ``magnitude`` and ``phase`` (unwrapped along frequency) are the STFT
+    frames' polar parts, both read-only.
+    """
+
+    magnitude: np.ndarray
+    phase: np.ndarray
+    config: StftConfig
+    sample_rate: int
+    n_samples: int
+
+    def __post_init__(self):
+        self.magnitude.setflags(write=False)
+        self.phase.setflags(write=False)
+
+
+def analyse_warp(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> WarpAnalysis:
+    """Analyse a buffer once for warping with any family and alpha."""
+    frames = stft(buf, cfg).frames
+    phase = np.unwrap(np.angle(frames), axis=1)
+    return WarpAnalysis(np.abs(frames), phase, cfg, buf.sample_rate, len(buf))
+
+
+def warp_analysed(analysis: WarpAnalysis, spec: WarpSpec) -> AudioBuffer:
+    """Warp every frame of an analysed buffer and resynthesize at its length."""
+    pos = _source_positions(spec, analysis.config.n_bins)
+    warped = _resample_frames(analysis.magnitude, analysis.phase, pos)
+    spectrogram = Spectrogram(warped, analysis.config, analysis.sample_rate)
+    return resynthesize(spectrogram, analysis.n_samples)
+
+
 def vtln_transform(buf: AudioBuffer, spec: WarpSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
     """Warp every frame of the buffer's spectrogram and resynthesize.
 
     Output sample count and rate equal the input's.
     """
-    sg = stft(buf, cfg)
-    pos = _source_positions(spec, sg.n_bins)
-    mag = np.abs(sg.frames)
-    phase = np.unwrap(np.angle(sg.frames), axis=1)
-    warped = _resample_frames(mag, phase, pos)
-    out = istft(Spectrogram(warped, cfg, sg.sample_rate)).samples
-    if out.size < len(buf):
-        out = np.concatenate([out, np.zeros(len(buf) - out.size)])
-    return AudioBuffer(out[: len(buf)], buf.sample_rate)
+    return warp_analysed(analyse_warp(buf, cfg), spec)

@@ -1,10 +1,18 @@
+import logging
+import os
+
 import numpy as np
 import pytest
 
+import voicemask.experiment as experiment
+import voicemask.phase_vocoder as phase_vocoder
+import voicemask.vtln as vtln
 from voicemask import (
     ALGORITHMS,
     CorpusManifest,
     DegreeSchedule,
+    PitchShiftSpec,
+    WarpSpec,
     ManifestEntry,
     MosTable,
     SweepResult,
@@ -14,12 +22,14 @@ from voicemask import (
     find_crossover,
     load_manifest,
     load_sweep,
+    pitch_shift,
     run_degree_sweep,
     synth_corpus,
+    vtln_transform,
 )
 from voicemask.errors import EmptyInput, InvariantViolation, NoCrossover, ParseError
 
-from helpers import SR
+from helpers import SR, make_vowel
 
 
 def write_manifest(path, rows):
@@ -109,6 +119,24 @@ class TestDegreeSchedule:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             DegreeSchedule("mcadams")
+
+    def test_families(self):
+        assert [DegreeSchedule(a).family for a in ALGORITHMS] == ["pitch", "pitch", "warp", "warp"]
+
+    def test_one_analysis_serves_every_degree(self):
+        buf = make_vowel(seconds=0.5)
+        degrees = np.random.default_rng(3).permutation(26)[:6]
+        for algo in ALGORITHMS:
+            schedule = DegreeSchedule(algo)
+            analysis = schedule.analyse(buf)
+            for degree in degrees:
+                got = schedule.apply(analysis, int(degree), "F", variant="loose").samples
+                param = schedule.parameter(int(degree), "F")
+                if schedule.family == "pitch":
+                    want = pitch_shift(buf, PitchShiftSpec(param, variant="loose"))
+                else:
+                    want = vtln_transform(buf, WarpSpec(algo, param))
+                assert got.tobytes() == want.samples.tobytes()
 
 
 class TestSynthCorpus:
@@ -321,3 +349,56 @@ class TestSmallSweep:
         a = run_degree_sweep(manifest, algorithms=("vocf",), degrees=(0, 10))
         b = run_degree_sweep(reversed_manifest, algorithms=("vocf",), degrees=(0, 10))
         assert a == b
+
+
+class TestSweepContract:
+    """The sweep analyses each test file once per family and runs every cell here."""
+
+    def test_analysis_once_per_file_and_family_cells_in_process(self, tmp_path, monkeypatch):
+        manifest = synth_corpus(11, 2, 2, tmp_path)
+        degrees = (0, 7, 25)
+        stft_calls = {"phase_vocoder": 0, "vtln": 0}
+        events = []
+
+        for name, module in (("phase_vocoder", phase_vocoder), ("vtln", vtln)):
+            def counted(buf, cfg, _stft=module.stft, _name=name):
+                stft_calls[_name] += 1
+                return _stft(buf, cfg)
+
+            monkeypatch.setattr(module, "stft", counted)
+
+        original_apply = DegreeSchedule.apply
+
+        def apply(self, *args, **kwargs):
+            events.append(("apply", os.getpid()))
+            return original_apply(self, *args, **kwargs)
+
+        original_identify = experiment.identify_speaker
+
+        def identify(*args, **kwargs):
+            events.append(("identify", os.getpid()))
+            return original_identify(*args, **kwargs)
+
+        monkeypatch.setattr(DegreeSchedule, "apply", apply)
+        monkeypatch.setattr(experiment, "identify_speaker", identify)
+
+        result = run_degree_sweep(manifest, degrees=degrees)
+        n_files = len(manifest.test_entries())
+        n_cells = n_files * len(ALGORITHMS) * len(degrees)
+        assert sum(row.n_files for row in result.rows) == n_cells
+        assert stft_calls == {"phase_vocoder": n_files, "vtln": n_files}
+        assert events == [("apply", os.getpid()), ("identify", os.getpid())] * n_cells
+
+    def test_unreadable_files_are_left_out_of_their_cells(self, tmp_path, caplog):
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        males = [e for e in manifest.test_entries() if e.gender == "M"]
+        males[0].path.write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
+        males[1].path.unlink()
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            result = run_degree_sweep(manifest, algorithms=("voc", "quadratic"), degrees=(0, 10))
+        assert len(result.rows) == 2 * 2 * 2
+        for row in result.rows:
+            assert row.n_files == (1 if row.gender == "M" else 3)
+        skipped = [r.getMessage() for r in caplog.records]
+        assert len(skipped) == 2
+        assert str(males[0].path) in skipped[0] and str(males[1].path) in skipped[1]

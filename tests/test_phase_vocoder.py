@@ -5,10 +5,14 @@ from voicemask import (
     AudioBuffer,
     PhasePropagator,
     PitchShiftSpec,
+    Spectrogram,
     StftConfig,
+    analyse_pitch,
     detect_peaks,
     pitch_shift,
     regions_of_influence,
+    resynthesize,
+    shift_analysed,
     shift_coefficients,
     stft,
 )
@@ -241,3 +245,58 @@ class TestPitchShift:
             PitchShiftSpec(1.0, variant="rigid")
         with pytest.raises(ValueError):
             PitchShiftSpec(1.0, neighbor_span=3)
+
+
+def voiced_with_gap():
+    """Vowel, silence, vowel: covers first, voiced and peak-free frames."""
+    vowel = make_vowel(seconds=0.5).samples
+    return AudioBuffer(np.concatenate([vowel, np.zeros(4000), vowel[::-1]]), SR)
+
+
+ANALYSIS_RATIOS = (1.0, 2.0 ** (13 / 24), 2.0 ** (-13 / 24), 2.0 ** (25 / 24), 2.0 ** (-25 / 24))
+
+
+class TestAnalyseOnce:
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_reused_analysis_equals_fresh_pitch_shift(self, variant):
+        buf = voiced_with_gap()
+        analysis = analyse_pitch(buf)
+        frames, inst_freq = analysis.frames.copy(), analysis.inst_freq.copy()
+        partitions = [None if p is None else p.copy() for p in analysis.partitions]
+        assert any(p is None for p in partitions) and any(p is not None for p in partitions)
+        order = np.random.default_rng(5).permutation(len(ANALYSIS_RATIOS))
+        for ratio in np.array(ANALYSIS_RATIOS)[order]:
+            spec = PitchShiftSpec(ratio, variant=variant)
+            reused = shift_analysed(analysis, spec)
+            assert reused.samples.tobytes() == pitch_shift(buf, spec).samples.tobytes()
+        assert np.array_equal(analysis.frames, frames)
+        assert np.array_equal(analysis.inst_freq, inst_freq)
+        for got, want in zip(analysis.partitions, partitions):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        assert not analysis.frames.flags.writeable
+        assert not analysis.inst_freq.flags.writeable
+        assert not any(p.flags.writeable for p in analysis.partitions if p is not None)
+        with pytest.raises(ValueError):
+            analysis.frames[0, 0] = 0.0
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_analysed_path_equals_per_frame_advance(self, variant):
+        # advance() without inst_freq measures it from consecutive phases;
+        # the analysis precomputes it, and both must give the same bytes.
+        buf = voiced_with_gap()
+        cfg = StftConfig()
+        spec = PitchShiftSpec(1.3, variant=variant)
+        sg = stft(buf, cfg)
+        prop = PhasePropagator(spec, cfg)
+        out = np.empty_like(sg.frames)
+        for t, frame in enumerate(sg.frames):
+            peaks = detect_peaks(frame, 2)
+            out[t] = prop.advance(frame, regions_of_influence(frame, peaks) if peaks.size else None)
+        expected = resynthesize(Spectrogram(out, cfg, SR), len(buf))
+        assert pitch_shift(buf, spec, cfg).samples.tobytes() == expected.samples.tobytes()
+
+    def test_neighbor_span_must_match(self):
+        analysis = analyse_pitch(make_vowel(seconds=0.3), neighbor_span=4)
+        assert analysis.neighbor_span == 4
+        with pytest.raises(ValueError):
+            shift_analysed(analysis, PitchShiftSpec(1.2))

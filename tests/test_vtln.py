@@ -7,15 +7,17 @@ from voicemask import (
     AudioBuffer,
     StftConfig,
     WarpSpec,
+    analyse_warp,
     invert_warp,
     stft,
     vtln_transform,
+    warp_analysed,
     warp_spectrum,
     warp_value,
 )
 from voicemask.errors import InvalidAlpha, NotInvertible
 
-from helpers import SR, dominant_freq, interior_snr_db, make_tone
+from helpers import SR, dominant_freq, interior_snr_db, make_tone, make_vowel
 
 IDENTITY_SPECS = [
     WarpSpec("symmetric", 1.0),
@@ -223,3 +225,37 @@ class TestVtlnTransform:
         batch = _resample_frames(np.abs(sg.frames), np.unwrap(np.angle(sg.frames), axis=1), pos)
         per_frame = np.array([warp_spectrum(f, spec) for f in sg.frames])
         np.testing.assert_allclose(batch, per_frame, atol=1e-12)
+
+
+ANALYSIS_SPECS = [
+    WarpSpec("symmetric", 0.8),
+    WarpSpec("symmetric", 1.0),
+    WarpSpec("symmetric", 1.2),
+    WarpSpec("asymmetric", 0.9),
+    WarpSpec("asymmetric", 1.1),
+    WarpSpec("quadratic", -1.0),
+    WarpSpec("quadratic", 0.0),
+    WarpSpec("quadratic", 0.57),
+    WarpSpec("power", 0.8),
+    WarpSpec("power", 1.25),
+    WarpSpec("bilinear", -0.1),
+    WarpSpec("bilinear", 0.0),
+    WarpSpec("bilinear", 0.16),
+]
+
+
+class TestAnalyseOnce:
+    def test_reused_analysis_equals_fresh_vtln_transform(self):
+        buf = make_vowel(seconds=0.7)
+        analysis = analyse_warp(buf)
+        magnitude, phase = analysis.magnitude.copy(), analysis.phase.copy()
+        for i in np.random.default_rng(9).permutation(len(ANALYSIS_SPECS)):
+            spec = ANALYSIS_SPECS[i]
+            reused = warp_analysed(analysis, spec)
+            assert reused.samples.tobytes() == vtln_transform(buf, spec).samples.tobytes()
+        assert np.array_equal(analysis.magnitude, magnitude)
+        assert np.array_equal(analysis.phase, phase)
+        assert not analysis.magnitude.flags.writeable
+        assert not analysis.phase.flags.writeable
+        with pytest.raises(ValueError):
+            analysis.phase[0, 0] = 0.0
