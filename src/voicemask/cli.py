@@ -10,36 +10,32 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 from .errors import NoCrossover, VoicemaskError
 from .experiment import (
     ALGORITHMS,
+    PITCH_ALGORITHMS,
     DegreeSchedule,
     aggregate_mos,
     emit_report,
+    enroll,
     find_crossover,
     load_manifest,
     run_degree_sweep,
     synth_corpus,
 )
 from .phase_vocoder import VARIANTS, PitchShiftSpec, pitch_shift
-from .signal_core import StftConfig, read_wav, write_wav
+from .signal_core import read_wav, write_wav
 from .speaker_id import (
-    FeatureConfig,
     classify_gender,
     covariance_model,
     extract_cepstra,
     identify_speaker,
     load_models,
     save_models,
-    train_gender_models,
 )
 from .vtln import FAMILIES, WarpSpec, vtln_transform
 
-_PITCH_ALGOS = ("voc", "vocf")
-_TRANSFORM_ALGOS = _PITCH_ALGOS + FAMILIES
-_SCHEDULED_ALGOS = ALGORITHMS  # algorithms with a degree schedule
+_TRANSFORM_ALGOS = PITCH_ALGORITHMS + FAMILIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,46 +85,31 @@ def _cmd_transform(parser, args) -> int:
     selectors = [v is not None for v in (args.degree, args.ratio, args.alpha)]
     if sum(selectors) != 1:
         parser.error("exactly one of --degree / --ratio / --alpha is required")
-    is_pitch = args.algo in _PITCH_ALGOS
+    is_pitch = args.algo in PITCH_ALGORITHMS
     if args.ratio is not None and not is_pitch:
-        parser.error(f"--ratio is only valid for {'/'.join(_PITCH_ALGOS)}")
+        parser.error(f"--ratio is only valid for {'/'.join(PITCH_ALGORITHMS)}")
     if args.alpha is not None and is_pitch:
         parser.error("--alpha is not valid for pitch algorithms")
-    if args.degree is not None and args.algo not in _SCHEDULED_ALGOS:
-        parser.error(f"--degree is only valid for {'/'.join(_SCHEDULED_ALGOS)}")
-    if args.degree is not None and args.algo in ("quadratic", "bilinear") and args.gender is None:
+    if args.degree is not None and args.algo not in ALGORITHMS:
+        parser.error(f"--degree is only valid for {'/'.join(ALGORITHMS)}")
+    if args.degree is not None and not is_pitch and args.gender is None:
         parser.error("--gender is required with --degree for warp algorithms")
 
     buf = read_wav(args.in_path)
-    cfg = StftConfig()
+    param = args.ratio if is_pitch else args.alpha
     if args.degree is not None:
-        schedule = DegreeSchedule(args.algo)
-        out = schedule.apply(schedule.analyse(buf, cfg), args.degree, args.gender, args.variant)
-    elif args.ratio is not None:
-        out = pitch_shift(buf, PitchShiftSpec(ratio=args.ratio, variant=args.variant), cfg)
+        param = DegreeSchedule(args.algo).parameter(args.degree, args.gender)
+    if is_pitch:
+        out = pitch_shift(buf, PitchShiftSpec(ratio=param, variant=args.variant))
     else:
-        out = vtln_transform(buf, WarpSpec(args.algo, args.alpha), cfg)
+        out = vtln_transform(buf, WarpSpec(args.algo, param))
     write_wav(args.out_path, out)
     return 0
 
 
 def _cmd_enroll(parser, args) -> int:
-    manifest = load_manifest(args.manifest)
-    cfg = FeatureConfig()
-    per_speaker = {}
-    genders = {}
-    pooled = []
-    for entry in manifest.train_entries():
-        feats = extract_cepstra(read_wav(entry.path), cfg)
-        per_speaker.setdefault(entry.speaker_id, []).append(feats)
-        genders[entry.speaker_id] = entry.gender
-        pooled.append((feats, entry.gender))
-    models = [
-        covariance_model(np.vstack(seqs), label=spk, gender=genders[spk])
-        for spk, seqs in sorted(per_speaker.items())
-    ]
-    male, female = train_gender_models(pooled)
-    save_models(args.models, models + [male, female])
+    speakers, male, female = enroll(load_manifest(args.manifest))
+    save_models(args.models, speakers + [male, female])
     return 0
 
 

@@ -23,9 +23,9 @@ from .errors import (
     VoicemaskError,
 )
 from .phase_vocoder import PitchAnalysis, PitchShiftSpec, analyse_pitch, shift_analysed
-from .signal_core import AudioBuffer, StftConfig, read_wav, write_wav
+from .signal_core import AudioBuffer, read_wav, write_wav
 from .speaker_id import (
-    FeatureConfig,
+    SpeakerModel,
     classify_gender,
     covariance_model,
     extract_cepstra,
@@ -36,6 +36,7 @@ from .vtln import WarpAnalysis, WarpSpec, analyse_warp, warp_analysed
 
 __all__ = [
     "ALGORITHMS",
+    "PITCH_ALGORITHMS",
     "ManifestEntry",
     "CorpusManifest",
     "DegreeSchedule",
@@ -44,6 +45,7 @@ __all__ = [
     "MosTable",
     "load_manifest",
     "synth_corpus",
+    "enroll",
     "run_degree_sweep",
     "find_crossover",
     "aggregate_mos",
@@ -53,9 +55,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-ALGORITHMS = ("voc", "vocf", "quadratic", "bilinear")
+PITCH_ALGORITHMS = ("voc", "vocf")  # the rest of ALGORITHMS are spectral warps
+ALGORITHMS = PITCH_ALGORITHMS + ("quadratic", "bilinear")
 
-_PITCH_ALGORITHMS = ("voc", "vocf")
 _MANIFEST_HEADER = ["path", "speaker_id", "gender", "partition"]
 _SWEEP_HEADER = [
     "algorithm",
@@ -167,7 +169,7 @@ class DegreeSchedule:
     @property
     def family(self) -> str:
         """``pitch`` or ``warp``; schedules of one family share an analysis."""
-        return "pitch" if self.algorithm in _PITCH_ALGORITHMS else "warp"
+        return "pitch" if self.algorithm in PITCH_ALGORITHMS else "warp"
 
     def parameter(self, degree: int, gender: str | None = None) -> float:
         if not 0 <= degree <= 25:
@@ -181,13 +183,9 @@ class DegreeSchedule:
         step = _QUADRATIC_STEP if self.algorithm == "quadratic" else _BILINEAR_STEP
         return step[gender] * degree
 
-    def analyse(
-        self, buf: AudioBuffer, cfg: StftConfig = StftConfig()
-    ) -> PitchAnalysis | WarpAnalysis:
+    def analyse(self, buf: AudioBuffer) -> PitchAnalysis | WarpAnalysis:
         """The degree-independent analysis of ``buf`` that apply() modifies."""
-        if self.family == "pitch":
-            return analyse_pitch(buf, cfg)
-        return analyse_warp(buf, cfg)
+        return analyse_pitch(buf) if self.family == "pitch" else analyse_warp(buf)
 
     def apply(
         self,
@@ -456,66 +454,77 @@ class SweepResult:
         return curve
 
 
-def _enroll(manifest: CorpusManifest, feature_cfg: FeatureConfig):
+def enroll(manifest: CorpusManifest) -> tuple[list[SpeakerModel], SpeakerModel, SpeakerModel]:
+    """Speaker models sorted by label, plus the male and female gender models.
+
+    Models are built on the unmodified train audio. A train file that cannot
+    be read or featurised is logged once and left out; a speaker left with no
+    usable train material is logged and not enrolled. If a whole gender
+    loses its train material, MissingGender propagates.
+    """
     per_speaker: dict[str, list[np.ndarray]] = {}
     genders: dict[str, str] = {}
     pooled = []
     for entry in manifest.train_entries():
-        feats = extract_cepstra(read_wav(entry.path), feature_cfg)
+        try:
+            feats = extract_cepstra(read_wav(entry.path))
+        except VoicemaskError as exc:
+            log.warning("skipping %s: %s", entry.path, exc)
+            continue
         per_speaker.setdefault(entry.speaker_id, []).append(feats)
         genders[entry.speaker_id] = entry.gender
         pooled.append((feats, entry.gender))
-    speaker_models = {
-        spk: covariance_model(np.vstack(seqs), label=spk, gender=genders[spk])
-        for spk, seqs in per_speaker.items()
-    }
+    speakers = []
+    for spk in sorted(per_speaker):
+        try:
+            speakers.append(
+                covariance_model(np.vstack(per_speaker[spk]), label=spk, gender=genders[spk])
+            )
+        except VoicemaskError as exc:
+            log.warning("not enrolling %s: %s", spk, exc)
     male, female = train_gender_models(pooled)
-    return speaker_models, male, female
+    return speakers, male, female
 
 
 def run_degree_sweep(
-    corpus: CorpusManifest,
-    algorithms=ALGORITHMS,
-    degrees=tuple(range(26)),
-    stft_cfg: StftConfig = StftConfig(),
-    feature_cfg: FeatureConfig = FeatureConfig(),
-    variant: str = "identity-locked",
+    corpus: CorpusManifest, algorithms=ALGORITHMS, degrees=tuple(range(26))
 ) -> SweepResult:
     """Run the full modification sweep over a corpus.
 
-    Models are enrolled on unmodified train audio only. Each test file is
-    read and analysed once per transform family, then modified at every
-    (algorithm, degree) cell. A file that cannot be read or analysed is
-    logged once and left out of every cell; a per-cell transform or modeling
-    failure is logged and excluded from that cell's n_files. The aggregation
-    is order-independent.
+    Models are enrolled on unmodified train audio only (see enroll). Each
+    test file is read and analysed once per transform family, then modified
+    at every (algorithm, degree) cell. A file that cannot be read or
+    analysed, or whose speaker is not enrolled, is logged once and left out
+    of every cell; a per-cell transform or modeling failure is logged and
+    excluded from that cell's n_files. The aggregation is order-independent.
     """
     algorithms = tuple(algorithms)
     degrees = tuple(int(d) for d in degrees)
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    speaker_models, male, female = _enroll(corpus, feature_cfg)
-    enrolled = [speaker_models[s] for s in sorted(speaker_models)]
+    enrolled, male, female = enroll(corpus)
+    labels = {model.label for model in enrolled}
     schedules = [DegreeSchedule(algo) for algo in algorithms]
     analysers = {schedule.family: schedule for schedule in schedules}
 
     counts: dict[tuple[str, str, int], list[int]] = {}
     for entry in corpus.test_entries():
+        if entry.speaker_id not in labels:
+            log.warning("skipping %s: speaker %s is not enrolled", entry.path, entry.speaker_id)
+            continue
         try:
             buf = read_wav(entry.path)
-            analyses = {family: s.analyse(buf, stft_cfg) for family, s in analysers.items()}
-        except (VoicemaskError, OSError) as exc:
+            analyses = {family: s.analyse(buf) for family, s in analysers.items()}
+        except VoicemaskError as exc:
             log.warning("skipping %s: %s", entry.path, exc)
             continue
         for schedule in schedules:
             algo = schedule.algorithm
             for degree in degrees:
                 try:
-                    modified = schedule.apply(
-                        analyses[schedule.family], degree, entry.gender, variant
-                    )
-                    feats = extract_cepstra(modified, feature_cfg)
+                    modified = schedule.apply(analyses[schedule.family], degree, entry.gender)
+                    feats = extract_cepstra(modified)
                     test_model = covariance_model(feats, label="probe")
                     decided, _ = classify_gender(test_model, male, female)
                     top_label = identify_speaker(test_model, enrolled)[0][0]

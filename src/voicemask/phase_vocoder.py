@@ -135,20 +135,23 @@ def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> 
     return omega + princarg(phase - prev_phase - hop * omega) / hop
 
 
-def _region_shifts(peaks: np.ndarray, ratio: float) -> np.ndarray:
-    # round-half-up keeps shifts deterministic at exact .5 boundaries
-    return np.floor((ratio - 1.0) * peaks + 0.5).astype(np.intp)
-
-
 def _bin_translation(partition: np.ndarray, ratio: float, n: int):
     """Per-bin source/destination index arrays for a region translation."""
-    shifts = _region_shifts(partition[:, 0], ratio)
+    # round-half-up keeps shifts deterministic at exact .5 boundaries
+    shifts = np.floor((ratio - 1.0) * partition[:, 0] + 0.5).astype(np.intp)
     lengths = partition[:, 2] - partition[:, 1] + 1
     bin_region = np.repeat(np.arange(partition.shape[0]), lengths)
     src = np.arange(n)
     dst = src + shifts[bin_region]
     keep = (dst >= 0) & (dst < n)
     return src[keep], dst[keep], bin_region[keep], shifts
+
+
+def _scatter(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Sum translated bin values into an n-bin frame; colliding regions add up."""
+    out = np.zeros(n, dtype=np.complex128)
+    np.add.at(out, dst, values)
+    return out
 
 
 def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -> np.ndarray:
@@ -158,11 +161,8 @@ def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -
     landing on the same destination bin have their complex values summed.
     """
     bins = np.asarray(frame, dtype=np.complex128)
-    partition = np.asarray(partition, dtype=np.intp)
-    out = np.zeros_like(bins)
-    src, dst, _, _ = _bin_translation(partition, ratio, bins.size)
-    np.add.at(out, dst, bins[src])
-    return out
+    src, dst, _, _ = _bin_translation(np.asarray(partition, dtype=np.intp), ratio, bins.size)
+    return _scatter(bins[src], dst, bins.size)
 
 
 class PhasePropagator:
@@ -233,19 +233,11 @@ class PhasePropagator:
         ratio = self.spec.ratio
         n = frame.size
 
-        if self._synth_phase is None:
-            # First frame: synthesis phases equal analysis phases.
-            if partition is None:
-                out = frame
-            else:
-                out = shift_coefficients(frame, partition, ratio)
-                peaks = partition[:, 0]
-                dests = peaks + _region_shifts(peaks, ratio)
-                self._store_tracks(dests, np.zeros(dests.size))
-            self._synth_phase = np.angle(out)
-            return out
-
+        # On the first frame, synthesis phases equal analysis phases.
         if partition is None:
+            if self._synth_phase is None:
+                self._synth_phase = np.angle(frame)
+                return frame
             theta = self._synth_phase + self.hop * ratio * self.omega
             out = np.abs(frame) * np.exp(1j * theta)
             self._store_tracks(np.empty(0, dtype=np.intp), np.empty(0))
@@ -257,17 +249,19 @@ class PhasePropagator:
         peaks = partition[:, 0]
         dests = peaks + shifts
 
-        if self.spec.variant == "identity-locked":
+        if self._synth_phase is None:
+            out = _scatter(frame[src], dst, n)
+            self._store_tracks(dests, np.zeros(dests.size))
+            self._synth_phase = np.angle(out)
+        elif self.spec.variant == "identity-locked":
             prev_angles = self._match_tracks(dests)
             increments = self.hop * (ratio - 1.0) * inst_freq[peaks]
             angles = np.where(np.isnan(prev_angles), 0.0, prev_angles + increments)
-            out = np.zeros_like(frame)
-            np.add.at(out, dst, frame[src] * np.exp(1j * angles)[bin_region])
+            out = _scatter(frame[src] * np.exp(1j * angles)[bin_region], dst, n)
             self._store_tracks(dests, angles)
             self._synth_phase = np.angle(out)
         else:
-            shifted = np.zeros_like(frame)
-            np.add.at(shifted, dst, frame[src])
+            shifted = _scatter(frame[src], dst, n)
             target = inst_freq.copy()
             target[dst] = inst_freq[src]  # region order: later regions win collisions
             theta = self._synth_phase + self.hop * ratio * target

@@ -159,9 +159,12 @@ def read_wav(path) -> AudioBuffer:
     """Read a PCM WAV file (8/16/24-bit integer or 32-bit float, any channel count).
 
     Multi-channel audio is averaged to mono; integer samples are scaled to
-    [-1, 1).
+    [-1, 1). Every failure, including an unreadable path, is a VoicemaskError.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: not a RIFF/WAVE file")
 
@@ -207,7 +210,10 @@ def read_wav(path) -> AudioBuffer:
     if channels > 1:
         samples = samples[: samples.size // channels * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(samples, rate)
+    try:
+        return AudioBuffer(samples, rate)
+    except ValueError as exc:  # float data can hold NaN or infinity
+        raise MalformedWav(f"{path}: {exc}") from None
 
 
 def write_wav(path, buf: AudioBuffer) -> None:

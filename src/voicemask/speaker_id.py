@@ -23,6 +23,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     EmptyEnrollment,
+    InvariantViolation,
     MissingGender,
     NotPositiveDefinite,
     ParseError,
@@ -227,9 +228,15 @@ _HEADER_RE = re.compile(
 
 
 def save_models(path, models) -> None:
-    """Write models to the textual store; numbers round-trip exactly."""
+    """Write models to the textual store; numbers round-trip exactly.
+
+    A label holding a line break (anything ``str.splitlines`` splits on)
+    cannot be stored; it raises InvariantViolation before anything is written.
+    """
     blocks = []
     for model in models:
+        if "".join(model.label.splitlines()) != model.label:
+            raise InvariantViolation(f"model label {model.label!r} contains a line break")
         lines = [
             f"SPKMODEL v1 P={model.order} label={model.label} "
             f"gender={model.gender} frames={model.n_frames}"
@@ -237,13 +244,13 @@ def save_models(path, models) -> None:
         for row in model.C:
             lines.append(" ".join(repr(float(v)) for v in row))
         blocks.append("\n".join(lines))
-    Path(path).write_text("\n\n".join(blocks) + "\n")
+    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
 def load_models(path) -> list[SpeakerModel]:
     """Read back a model store written by save_models."""
     models = []
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     i = 0
     while i < len(lines):
         if not lines[i].strip():

@@ -104,23 +104,12 @@ def warp_value(spec: WarpSpec, omega):
     return float(g) if np.isscalar(omega) else g
 
 
-def _invert_quadratic(spec: WarpSpec, target: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, np.pi)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = warp_value(spec, mid) <= target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def invert_warp(spec: WarpSpec, omega_out):
     """Preimage of ``omega_out`` under warp_value, accurate to 1e-9.
 
     Power and bilinear invert analytically (the bilinear inverse is the same
     family with -alpha), the piecewise-linear families by branch algebra, and
-    quadratic by bisection.
+    quadratic by the stable root of g = b w - c w^2.
     """
     g = np.asarray(omega_out, dtype=np.float64)
     _check_range(g, "omega_out")
@@ -135,7 +124,11 @@ def invert_warp(spec: WarpSpec, omega_out):
             high = omega0 + (g - knee) * (np.pi - omega0) / (np.pi - knee)
             w = np.where(g <= knee, g / spec.alpha, high)
     elif spec.family == "quadratic":
-        w = _invert_quadratic(spec, g)
+        # b = 1 + alpha/pi, c = alpha/pi^2; this form of the root stays exact as c -> 0.
+        # The discriminant is >= (1 - |alpha|/pi)^2 on [0, pi]; the floor only absorbs rounding.
+        b = 1.0 + spec.alpha / np.pi
+        c = spec.alpha / np.pi**2
+        w = 2.0 * g / (b + np.sqrt(np.maximum(b * b - 4.0 * c * g, 0.0)))
     elif spec.family == "power":
         w = np.pi * (g / np.pi) ** (1.0 / spec.alpha)
     else:

@@ -1,7 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 
-from voicemask import load_models, read_wav, synth_corpus, write_wav
+from voicemask import (
+    PitchShiftSpec,
+    enroll,
+    load_manifest,
+    load_models,
+    pitch_shift,
+    read_wav,
+    save_models,
+    synth_corpus,
+    write_wav,
+)
 from voicemask.cli import main
 
 from helpers import SR, dominant_freq, make_tone
@@ -95,6 +107,38 @@ class TestTransform:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "algo,extra,selector,value",
+        [
+            ("voc", [], "--ratio", lambda d: 2.0 ** (d / 24.0)),
+            ("vocf", ["--variant", "loose"], "--ratio", lambda d: 2.0 ** (-d / 24.0)),
+            ("quadratic", ["--gender", "F"], "--alpha", lambda d: 0.057 * d),
+            ("quadratic", ["--gender", "M"], "--alpha", lambda d: -0.029 * d),
+            ("bilinear", ["--gender", "F"], "--alpha", lambda d: 0.0065 * d),
+            ("bilinear", ["--gender", "M"], "--alpha", lambda d: -0.0043 * d),
+        ],
+    )
+    def test_degree_writes_the_bytes_of_its_scheduled_parameter(
+        self, capsys, tone_wav, tmp_path, algo, extra, selector, value
+    ):
+        for degree in (7, 25):
+            by_degree, by_value = tmp_path / "degree.wav", tmp_path / "value.wav"
+            common = ["transform", "--algo", algo, *extra, "--in", str(tone_wav)]
+            code_d, _, _ = run(capsys, *common, "--degree", str(degree), "--out", str(by_degree))
+            code_v, _, _ = run(capsys, *common, selector, repr(value(degree)),
+                               "--out", str(by_value))
+            assert code_d == code_v == 0
+            assert by_degree.read_bytes() == by_value.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_variant_reaches_pitch_shift(self, capsys, tone_wav, tmp_path, variant):
+        out, want = tmp_path / "out.wav", tmp_path / "want.wav"
+        code, _, _ = run(capsys, "transform", "--algo", "voc", "--ratio", "1.3",
+                         "--variant", variant, "--in", str(tone_wav), "--out", str(out))
+        assert code == 0
+        write_wav(want, pitch_shift(read_wav(tone_wav), PitchShiftSpec(1.3, variant=variant)))
+        assert out.read_bytes() == want.read_bytes()
+
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(["transform", "--algo", "voc", "--degree", "1", "--loudness", "3",
@@ -120,6 +164,40 @@ class TestEnrollIdentifyGender:
         run(capsys, "enroll", "--manifest", str(corpus_dir / "manifest.csv"), "--models", str(a))
         run(capsys, "enroll", "--manifest", str(corpus_dir / "manifest.csv"), "--models", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_enroll_writes_the_store_of_the_library_enrollment(self, capsys, corpus_dir, tmp_path):
+        cli_store, lib_store = tmp_path / "cli.txt", tmp_path / "lib.txt"
+        run(capsys, "enroll", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--models", str(cli_store))
+        speakers, male, female = enroll(load_manifest(corpus_dir / "manifest.csv"))
+        save_models(lib_store, speakers + [male, female])
+        assert cli_store.read_bytes() == lib_store.read_bytes()
+
+    def test_enroll_skips_an_unreadable_train_file(self, capsys, caplog, tmp_path):
+        manifest = synth_corpus(11, 4, 2, tmp_path / "corpus")
+        bad = manifest.train_entries()[2].path
+        bad.write_bytes(b"junk")
+        store = tmp_path / "models.txt"
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            code, _, _ = run(capsys, "enroll", "--manifest",
+                             str(tmp_path / "corpus" / "manifest.csv"), "--models", str(store))
+        assert code == 0
+        assert [m.label for m in load_models(store)] == ["spk00", "spk01", "spk03", "M", "F"]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {bad}: {bad}: not a RIFF/WAVE file"
+        ]
+
+    def test_enroll_without_train_audio_for_a_gender_is_runtime_error(self, capsys, tmp_path):
+        manifest = synth_corpus(11, 4, 2, tmp_path / "corpus")
+        for entry in manifest.train_entries():
+            if entry.gender == "F":
+                entry.path.write_bytes(b"junk")
+        store = tmp_path / "models.txt"
+        code, _, err = run(capsys, "enroll", "--manifest",
+                           str(tmp_path / "corpus" / "manifest.csv"), "--models", str(store))
+        assert code == 1
+        assert "gender F" in err
+        assert not store.exists()
 
     def test_identify_training_utterance_ranks_self_first(self, capsys, corpus_dir, tmp_path):
         store = tmp_path / "models.txt"

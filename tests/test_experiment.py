@@ -26,6 +26,7 @@ from voicemask import (
     run_degree_sweep,
     synth_corpus,
     vtln_transform,
+    write_wav,
 )
 from voicemask.errors import EmptyInput, InvariantViolation, NoCrossover, ParseError
 
@@ -402,3 +403,41 @@ class TestSweepContract:
         skipped = [r.getMessage() for r in caplog.records]
         assert len(skipped) == 2
         assert str(males[0].path) in skipped[0] and str(males[1].path) in skipped[1]
+
+    def test_a_bad_train_file_leaves_out_only_its_speaker(self, tmp_path, caplog):
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        bad = manifest.train_entries()[0]
+        bad.path.write_bytes(b"\x00" * 8)
+        orphans = [e.path for e in manifest.test_entries() if e.speaker_id == bad.speaker_id]
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            result = run_degree_sweep(manifest, algorithms=("voc", "quadratic"), degrees=(0, 10))
+        assert len(result.rows) == 2 * 2 * 2
+        for row in result.rows:
+            assert row.n_files == (3 - len(orphans) if row.gender == bad.gender else 3)
+        skipped = [r.getMessage() for r in caplog.records]
+        assert len(skipped) == 1 + len(orphans)
+        assert skipped[0].startswith(f"skipping {bad.path}: ")
+        for message, path in zip(skipped[1:], orphans):
+            assert message == f"skipping {path}: speaker {bad.speaker_id} is not enrolled"
+
+
+class TestEnroll:
+    def test_speakers_sorted_whatever_the_manifest_order(self, tmp_path):
+        manifest = synth_corpus(11, 4, 2, tmp_path)
+        speakers, male, female = experiment.enroll(
+            CorpusManifest(tuple(reversed(manifest.entries)))
+        )
+        assert [m.label for m in speakers] == ["spk00", "spk01", "spk02", "spk03"]
+        assert [m.gender for m in speakers] == ["M", "F", "M", "F"]
+        assert (male.label, female.label) == ("M", "F")
+
+    def test_a_speaker_too_short_to_model_is_not_enrolled(self, tmp_path, caplog):
+        manifest = synth_corpus(11, 4, 2, tmp_path)
+        short = manifest.train_entries()[1]
+        write_wav(short.path, make_vowel(seconds=0.05))  # 50 ms: 3 cepstral frames, 13 needed
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            speakers, _, _ = experiment.enroll(manifest)
+        assert [m.label for m in speakers] == ["spk00", "spk02", "spk03"]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"not enrolling {short.speaker_id}"
+        ]

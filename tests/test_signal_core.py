@@ -2,9 +2,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voicemask import AudioBuffer, Spectrogram, StftConfig, istft, read_wav, stft, write_wav
-from voicemask.errors import InvalidConfig, MalformedWav, UnsupportedEncoding
+from voicemask.errors import (
+    InvalidConfig,
+    IoFailure,
+    MalformedWav,
+    UnsupportedEncoding,
+    VoicemaskError,
+)
 from voicemask.signal_core import cola_deviation
 
 from helpers import SR, interior_snr_db, make_tone
@@ -99,6 +107,65 @@ class TestReadWav:
         path.write_bytes(wav_bytes(7, 1, 8000, 8, bytes(8)))
         with pytest.raises(UnsupportedEncoding):
             read_wav(path)
+
+    def test_missing_file_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            read_wav(tmp_path / "none.wav")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav_bytes(3, 1, SR, 32, struct.pack("<3f", 0.5, bad, 0.0)))
+        with pytest.raises(MalformedWav):
+            read_wav(path)
+
+
+# A valid two-channel float WAV for the mutation fuzzer: 44 header bytes, 16 frames.
+# Samples of odd binary exponent (+-1.0, +-0.3) turn into +-inf or NaN when their
+# top byte becomes 0x7F or 0xFF.
+_VALID_FLOAT_WAV = wav_bytes(
+    3, 2, SR, 32, struct.pack("<32f", *[-1.0, -0.6, -0.3, 0.0, 0.1, 0.3, 0.6, 1.0] * 4)
+)
+# Byte values worth trying first, as fuzzers do: sign, exponent and range edges.
+_BYTE_VALUES = st.one_of(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFF]), st.integers(0, 255))
+
+
+class TestReadWavFuzz:
+    """Whatever a file holds, read_wav returns a buffer or raises a VoicemaskError."""
+
+    @staticmethod
+    def read_only_fails_as_voicemask_error(tmp_path_factory, data: bytes):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(data)
+        try:
+            read_wav(path)
+        except VoicemaskError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.one_of(
+            st.binary(max_size=96),
+            st.binary(max_size=96).map(lambda tail: b"RIFF\x00\x00\x00\x00WAVE" + tail),
+        )
+    )
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        self.read_only_fails_as_voicemask_error(tmp_path_factory, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(_VALID_FLOAT_WAV) - 1), _BYTE_VALUES),
+            min_size=1,
+            max_size=4,
+        ),
+        keep=st.one_of(st.none(), st.integers(0, len(_VALID_FLOAT_WAV) - 1)),  # None: no cut
+    )
+    def test_mutated_valid_wav(self, tmp_path_factory, edits, keep):
+        data = bytearray(_VALID_FLOAT_WAV)
+        for index, value in edits:
+            data[index] = value
+        self.read_only_fails_as_voicemask_error(tmp_path_factory, bytes(data[:keep]))
 
 
 class TestWriteWav:

@@ -19,6 +19,7 @@ from voicemask import (
 from voicemask.errors import (
     DimensionMismatch,
     EmptyEnrollment,
+    InvariantViolation,
     MissingGender,
     NotPositiveDefinite,
     TooFewFrames,
@@ -263,3 +264,34 @@ class TestModelStore:
 
         with pytest.raises(ParseError):
             load_models(path)
+
+    # Every line boundary str.splitlines knows; the store is read back line by line.
+    LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @pytest.mark.parametrize("brk", list(LINE_BREAKS) + ["\r\n"], ids=repr)
+    def test_label_with_line_break_refused_before_writing(self, tmp_path, brk):
+        path = tmp_path / "models.txt"
+        models = [model_of(np.eye(3), "spk00", "M"), model_of(np.eye(3), f"spk{brk}01", "F")]
+        with pytest.raises(InvariantViolation):
+            save_models(path, models)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=st.lists(
+            st.text(st.one_of(st.sampled_from(LINE_BREAKS), st.characters()), max_size=10),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_every_other_label_round_trips(self, tmp_path_factory, labels):
+        path = tmp_path_factory.getbasetemp() / "labels.txt"
+        path.unlink(missing_ok=True)
+        models = [model_of(np.eye(3) * (i + 1), label) for i, label in enumerate(labels)]
+        if any(ch in self.LINE_BREAKS for label in labels for ch in label):
+            with pytest.raises(InvariantViolation):
+                save_models(path, models)
+            assert not path.exists()
+        else:
+            save_models(path, models)
+            assert [m.label for m in load_models(path)] == labels

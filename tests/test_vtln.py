@@ -36,6 +36,9 @@ VALID_SPECS = [
     WarpSpec("power", 1.7),
     WarpSpec("quadratic", 1.4),
     WarpSpec("quadratic", -0.9),
+    WarpSpec("quadratic", 3.1),
+    WarpSpec("quadratic", -3.1),
+    WarpSpec("quadratic", 0.0),
     WarpSpec("bilinear", 0.4),
     WarpSpec("bilinear", -0.3),
 ]
