@@ -13,6 +13,7 @@ import sys
 from .errors import NoCrossover, VoicemaskError
 from .experiment import (
     ALGORITHMS,
+    MAX_DEGREE,
     PITCH_ALGORITHMS,
     DegreeSchedule,
     aggregate_mos,
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the degree sweep and emit reports")
     p.add_argument("--manifest", required=True)
     p.add_argument("--algos", default=",".join(ALGORITHMS), help="comma-separated subset")
-    p.add_argument("--degrees", default="0..25", help="inclusive range, e.g. 0..25")
+    p.add_argument("--degrees", default=f"0..{MAX_DEGREE}", help="inclusive range, e.g. 0..25")
     p.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
 
     p = sub.add_parser("synth", help="generate the deterministic synthetic corpus")
@@ -94,6 +95,8 @@ def _cmd_transform(parser, args) -> int:
         parser.error(f"--degree is only valid for {'/'.join(ALGORITHMS)}")
     if args.degree is not None and not is_pitch and args.gender is None:
         parser.error("--gender is required with --degree for warp algorithms")
+    if args.degree is not None and not 0 <= args.degree <= MAX_DEGREE:
+        parser.error(f"--degree must be in 0..{MAX_DEGREE}, got {args.degree}")
 
     buf = read_wav(args.in_path)
     param = args.ratio if is_pitch else args.alpha
@@ -148,8 +151,8 @@ def _parse_degrees(parser, text: str):
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         parser.error(f"--degrees must look like A..B, got {text!r}")
-    if not 0 <= lo <= hi <= 25:
-        parser.error(f"--degrees must satisfy 0 <= A <= B <= 25, got {text!r}")
+    if not 0 <= lo <= hi <= MAX_DEGREE:
+        parser.error(f"--degrees must satisfy 0 <= A <= B <= {MAX_DEGREE}, got {text!r}")
     return tuple(range(lo, hi + 1))
 
 

@@ -9,6 +9,7 @@ gender-classification and top-1 identification success rates per
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from .errors import (
     VoicemaskError,
 )
 from .phase_vocoder import PitchAnalysis, PitchShiftSpec, analyse_pitch, shift_analysed
-from .signal_core import AudioBuffer, read_wav, write_wav
+from .signal_core import AudioBuffer, read_text, read_wav, write_wav
 from .speaker_id import (
     SpeakerModel,
     classify_gender,
@@ -37,6 +38,7 @@ from .vtln import WarpAnalysis, WarpSpec, analyse_warp, warp_analysed
 __all__ = [
     "ALGORITHMS",
     "PITCH_ALGORITHMS",
+    "MAX_DEGREE",
     "ManifestEntry",
     "CorpusManifest",
     "DegreeSchedule",
@@ -57,6 +59,7 @@ log = logging.getLogger(__name__)
 
 PITCH_ALGORITHMS = ("voc", "vocf")  # the rest of ALGORITHMS are spectral warps
 ALGORITHMS = PITCH_ALGORITHMS + ("quadratic", "bilinear")
+MAX_DEGREE = 25  # degrees run 0..MAX_DEGREE; 0 is the identity
 
 _MANIFEST_HEADER = ["path", "speaker_id", "gender", "partition"]
 _SWEEP_HEADER = [
@@ -68,6 +71,20 @@ _SWEEP_HEADER = [
     "n_files",
 ]
 _RATINGS_HEADER = ["listener_id", "file_id", "algorithm", "degree", "rating"]
+
+
+def _read_csv(path, header: list[str], if_empty: VoicemaskError) -> list[tuple[int, list[str]]]:
+    """Data rows of a UTF-8 CSV file under ``header``, each with its 1-based line number."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    if not rows:
+        raise if_empty
+    if rows[0][1] != header:
+        raise ParseError(f"expected header {','.join(header)}", line=1)
+    return rows[1:]
 
 
 # --- manifest ----------------------------------------------------------------
@@ -119,29 +136,18 @@ def load_manifest(path) -> CorpusManifest:
     path = Path(path)
     base = path.parent
     entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty manifest", line=1) from None
-        if header != _MANIFEST_HEADER:
-            raise ParseError(f"expected header {','.join(_MANIFEST_HEADER)}", line=1)
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=line)
-            file_path, speaker_id, gender, partition = (v.strip() for v in row)
-            if gender not in ("M", "F"):
-                raise ParseError(f"gender must be M or F, got {gender!r}", line=line)
-            if partition not in ("train", "test"):
-                raise ParseError(
-                    f"partition must be train or test, got {partition!r}", line=line
-                )
-            resolved = Path(file_path)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            entries.append(ManifestEntry(resolved, speaker_id, gender, partition))
+    for line, row in _read_csv(path, _MANIFEST_HEADER, ParseError("empty manifest", line=1)):
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=line)
+        file_path, speaker_id, gender, partition = (v.strip() for v in row)
+        if gender not in ("M", "F"):
+            raise ParseError(f"gender must be M or F, got {gender!r}", line=line)
+        if partition not in ("train", "test"):
+            raise ParseError(f"partition must be train or test, got {partition!r}", line=line)
+        resolved = Path(file_path)
+        if not resolved.is_absolute():
+            resolved = base / resolved
+        entries.append(ManifestEntry(resolved, speaker_id, gender, partition))
     return CorpusManifest(tuple(entries))
 
 
@@ -172,8 +178,8 @@ class DegreeSchedule:
         return "pitch" if self.algorithm in PITCH_ALGORITHMS else "warp"
 
     def parameter(self, degree: int, gender: str | None = None) -> float:
-        if not 0 <= degree <= 25:
-            raise ValueError(f"degree must be in 0..25, got {degree}")
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
         if self.algorithm == "voc":
             return 2.0 ** (degree / 24.0)
         if self.algorithm == "vocf":
@@ -592,27 +598,18 @@ def aggregate_mos(ratings_path) -> MosTable:
     """Arithmetic mean of 1..5 intelligibility ratings per algorithm."""
     sums: dict[str, int] = {}
     counts: dict[str, int] = {}
-    with open(ratings_path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line, row in _read_csv(ratings_path, _RATINGS_HEADER, EmptyInput("ratings file is empty")):
+        if len(row) != 5:
+            raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
+        algo = row[2].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput("ratings file is empty") from None
-        if header != _RATINGS_HEADER:
-            raise ParseError(f"expected header {','.join(_RATINGS_HEADER)}", line=1)
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 5:
-                raise ParseError(f"expected 5 fields, got {len(row)}", line=line)
-            algo = row[2].strip()
-            try:
-                rating = int(row[4])
-            except ValueError:
-                raise ParseError(f"rating must be an integer, got {row[4]!r}", line=line) from None
-            if not 1 <= rating <= 5:
-                raise ParseError(f"rating must be in 1..5, got {rating}", line=line)
-            sums[algo] = sums.get(algo, 0) + rating
-            counts[algo] = counts.get(algo, 0) + 1
+            rating = int(row[4])
+        except ValueError:
+            raise ParseError(f"rating must be an integer, got {row[4]!r}", line=line) from None
+        if not 1 <= rating <= 5:
+            raise ParseError(f"rating must be in 1..5, got {rating}", line=line)
+        sums[algo] = sums.get(algo, 0) + rating
+        counts[algo] = counts.get(algo, 0) + 1
     if not counts:
         raise EmptyInput("ratings file has no data rows")
     scores = tuple((algo, sums[algo] / counts[algo], counts[algo]) for algo in sorted(counts))
@@ -649,24 +646,15 @@ def emit_report(result: SweepResult, out_dir) -> None:
 def load_sweep(path) -> SweepResult:
     """Read back a sweep.csv written by emit_report."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line, row in _read_csv(path, _SWEEP_HEADER, EmptyInput("sweep file is empty")):
+        if len(row) != 6:
+            raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput("sweep file is empty") from None
-        if header != _SWEEP_HEADER:
-            raise ParseError(f"expected header {','.join(_SWEEP_HEADER)}", line=1)
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
-            try:
-                rows.append(
-                    SweepRow(row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5]))
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line) from None
+            rows.append(
+                SweepRow(row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5]))
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line) from None
     return SweepResult(tuple(rows))
 
 

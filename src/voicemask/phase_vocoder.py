@@ -135,23 +135,33 @@ def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> 
     return omega + princarg(phase - prev_phase - hop * omega) / hop
 
 
-def _bin_translation(partition: np.ndarray, ratio: float, n: int):
-    """Per-bin source/destination index arrays for a region translation."""
+def _work_span(ratio: float, n: int) -> tuple[int, int]:
+    """Offset and length of a work frame that holds every translated bin.
+
+    Region shifts are monotone in the peak bin, so no region moves further
+    than one peaking at the top bin n-1: bins land in [-offset, length-offset).
+    """
+    edge = int(np.floor((ratio - 1.0) * (n - 1) + 0.5))
+    return max(0, -edge), n + abs(edge)
+
+
+def _bin_translation(partition: np.ndarray, ratio: float, slots: np.ndarray):
+    """Region shifts, region lengths and every bin's slot in the work frame."""
     # round-half-up keeps shifts deterministic at exact .5 boundaries
     shifts = np.floor((ratio - 1.0) * partition[:, 0] + 0.5).astype(np.intp)
     lengths = partition[:, 2] - partition[:, 1] + 1
-    bin_region = np.repeat(np.arange(partition.shape[0]), lengths)
-    src = np.arange(n)
-    dst = src + shifts[bin_region]
-    keep = (dst >= 0) & (dst < n)
-    return src[keep], dst[keep], bin_region[keep], shifts
+    return shifts, lengths, slots + np.repeat(shifts, lengths)
 
 
-def _scatter(values: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Sum translated bin values into an n-bin frame; colliding regions add up."""
-    out = np.zeros(n, dtype=np.complex128)
-    np.add.at(out, dst, values)
-    return out
+def _scatter(values: np.ndarray, targets: np.ndarray, offset: int, size: int) -> np.ndarray:
+    """Sum translated bin values into a work frame and return its spectrum part.
+
+    Colliding regions add up in region order; bins beyond the spectrum land in
+    the margins of the work frame and are dropped with them.
+    """
+    work = np.zeros(size, dtype=np.complex128)
+    np.add.at(work, targets, values)
+    return work[offset : offset + values.size]
 
 
 def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -> np.ndarray:
@@ -161,8 +171,17 @@ def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -
     landing on the same destination bin have their complex values summed.
     """
     bins = np.asarray(frame, dtype=np.complex128)
-    src, dst, _, _ = _bin_translation(np.asarray(partition, dtype=np.intp), ratio, bins.size)
-    return _scatter(bins[src], dst, bins.size)
+    offset, size = _work_span(ratio, bins.size)
+    slots = np.arange(bins.size) + offset
+    _, _, targets = _bin_translation(np.asarray(partition, dtype=np.intp), ratio, slots)
+    return _scatter(bins, targets, offset, size)
+
+
+# Live track destinations are kept between two sentinels, so a nearest-track
+# search never runs off either end; a sentinel is never within tolerance.
+_FAR = 1 << 40
+_BELOW, _ABOVE, _NO_ANGLE = np.array([-_FAR]), np.array([_FAR]), np.array([np.nan])
+_NO_TRACKS = np.array([-_FAR, _FAR]), np.array([np.nan, np.nan])
 
 
 class PhasePropagator:
@@ -178,40 +197,56 @@ class PhasePropagator:
         self.spec = spec
         self.hop = cfg.hop
         self.omega = bin_frequencies(cfg.n_bins)
+        self._offset, self._work_size = _work_span(spec.ratio, cfg.n_bins)
+        self._slots = np.arange(cfg.n_bins) + self._offset
+        self._peak_step = self.hop * (spec.ratio - 1.0)
+        self._bin_step = self.hop * spec.ratio
+        self._free_advance = self._bin_step * self.omega
         self._prev_analysis_phase = None
+        self._started = False
+        # Synthesis phases of the last frame, or None while they are still to
+        # be taken from _synth_frame, the last scattered output; only a later
+        # peak-free or loose frame reads them.
         self._synth_phase = None
-        self._track_dests = np.empty(0, dtype=np.intp)
-        self._track_angles = np.empty(0)
+        self._synth_frame = None
+        self._set_tracks(*_NO_TRACKS)
 
     @property
     def track_angles(self) -> dict[int, float]:
         """Accumulated rotation angle per live track, keyed by destination bin."""
-        return {int(d): float(a) for d, a in zip(self._track_dests, self._track_angles)}
+        dests, angles = self._known_dests[1:-1], self._known_angles[1:-1]
+        return {int(d): float(a) for d, a in zip(dests, angles)}
 
     def _match_tracks(self, dests: np.ndarray):
         """Previous-track angle for each destination, NaN where unmatched."""
-        matched = np.full(dests.size, np.nan)
-        if self._track_dests.size == 0:
-            return matched
-        idx = np.searchsorted(self._track_dests, dests)
-        left = np.clip(idx - 1, 0, self._track_dests.size - 1)
-        right = np.clip(idx, 0, self._track_dests.size - 1)
-        d_left = np.abs(self._track_dests[left] - dests)
-        d_right = np.abs(self._track_dests[right] - dests)
-        use_left = d_left <= d_right  # ties resolve to the lower bin
-        chosen = np.where(use_left, left, right)
-        dist = np.where(use_left, d_left, d_right)
-        ok = dist <= _TRACK_MATCH_TOLERANCE
-        matched[ok] = self._track_angles[chosen[ok]]
-        return matched
+        # Track i is nearest (ties to the lower bin) to every d with
+        # sum[i-1] < 2d <= sum[i], where sum[i] adds tracks i and i+1.
+        nearest = self._pair_sums.searchsorted(dests + dests)
+        dist = np.abs(self._known_dests[nearest] - dests)
+        return np.where(dist <= _TRACK_MATCH_TOLERANCE, self._known_angles[nearest], np.nan)
+
+    def _set_tracks(self, known_dests: np.ndarray, known_angles: np.ndarray) -> None:
+        self._known_dests, self._known_angles = known_dests, known_angles
+        self._pair_sums = known_dests[:-1] + known_dests[1:]
 
     def _store_tracks(self, dests: np.ndarray, angles: np.ndarray) -> None:
-        order = np.argsort(dests, kind="stable")
-        dests, angles = dests[order], angles[order]
-        if dests.size > 1:  # collapse duplicate destinations, keeping the last
-            keep = np.concatenate([dests[1:] != dests[:-1], [True]])
-            dests, angles = dests[keep], angles[keep]
-        self._track_dests, self._track_angles = dests, angles
+        # dests come in peak order and are already sorted (see README)
+        known = np.concatenate((_BELOW, dests, _ABOVE))
+        last = known[1:-1] != known[2:]
+        if np.count_nonzero(last) < last.size:  # duplicates: keep the last of each
+            dests, angles = dests[last], angles[last]
+            known = np.concatenate((_BELOW, dests, _ABOVE))
+        self._set_tracks(known, np.concatenate((_NO_ANGLE, angles, _NO_ANGLE)))
+
+    def _last_synth_phase(self) -> np.ndarray:
+        if self._synth_phase is None:
+            self._synth_phase = np.angle(self._synth_frame)
+        return self._synth_phase
+
+    def _defer_phase(self, out: np.ndarray) -> np.ndarray:
+        """Keep a scattered output to take its phases from later; return a copy."""
+        self._synth_phase, self._synth_frame = None, out
+        return out.copy()
 
     def advance(
         self, frame: np.ndarray, partition: np.ndarray | None, inst_freq: np.ndarray | None = None
@@ -230,45 +265,43 @@ class PhasePropagator:
             if self._prev_analysis_phase is not None:
                 inst_freq = _instantaneous_freq(phase, self._prev_analysis_phase, self.hop)
             self._prev_analysis_phase = phase
-        ratio = self.spec.ratio
-        n = frame.size
+        started, self._started = self._started, True
 
         # On the first frame, synthesis phases equal analysis phases.
         if partition is None:
-            if self._synth_phase is None:
+            if not started:
                 self._synth_phase = np.angle(frame)
                 return frame
-            theta = self._synth_phase + self.hop * ratio * self.omega
-            out = np.abs(frame) * np.exp(1j * theta)
-            self._store_tracks(np.empty(0, dtype=np.intp), np.empty(0))
+            theta = self._last_synth_phase() + self._free_advance
+            self._set_tracks(*_NO_TRACKS)
             self._synth_phase = theta
-            return out
+            return np.abs(frame) * np.exp(1j * theta)
 
         partition = np.asarray(partition, dtype=np.intp)
-        src, dst, bin_region, shifts = _bin_translation(partition, ratio, n)
+        shifts, lengths, targets = _bin_translation(partition, self.spec.ratio, self._slots)
         peaks = partition[:, 0]
         dests = peaks + shifts
+        offset, size = self._offset, self._work_size
 
-        if self._synth_phase is None:
-            out = _scatter(frame[src], dst, n)
+        if not started:
             self._store_tracks(dests, np.zeros(dests.size))
-            self._synth_phase = np.angle(out)
-        elif self.spec.variant == "identity-locked":
+            return self._defer_phase(_scatter(frame, targets, offset, size))
+        if self.spec.variant == "identity-locked":
             prev_angles = self._match_tracks(dests)
-            increments = self.hop * (ratio - 1.0) * inst_freq[peaks]
+            increments = self._peak_step * inst_freq[peaks]
             angles = np.where(np.isnan(prev_angles), 0.0, prev_angles + increments)
-            out = _scatter(frame[src] * np.exp(1j * angles)[bin_region], dst, n)
+            rotation = np.repeat(np.exp(1j * angles), lengths)
             self._store_tracks(dests, angles)
-            self._synth_phase = np.angle(out)
-        else:
-            shifted = _scatter(frame[src], dst, n)
-            target = inst_freq.copy()
-            target[dst] = inst_freq[src]  # region order: later regions win collisions
-            theta = self._synth_phase + self.hop * ratio * target
-            out = np.abs(shifted) * np.exp(1j * theta)
-            self._store_tracks(np.empty(0, dtype=np.intp), np.empty(0))
-            self._synth_phase = theta
-        return out
+            return self._defer_phase(_scatter(frame * rotation, targets, offset, size))
+        shifted = _scatter(frame, targets, offset, size)
+        target = np.empty(size)
+        spectrum = target[offset : offset + frame.size]
+        spectrum[:] = inst_freq
+        target[targets] = inst_freq  # region order: later regions win collisions
+        theta = self._last_synth_phase() + self._bin_step * spectrum
+        self._set_tracks(*_NO_TRACKS)
+        self._synth_phase = theta
+        return np.abs(shifted) * np.exp(1j * theta)
 
 
 @dataclass(frozen=True)

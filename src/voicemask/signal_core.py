@@ -1,4 +1,4 @@
-"""Audio container, WAV file I/O, and STFT analysis/resynthesis.
+"""Audio container, WAV and text file input, and STFT analysis/resynthesis.
 
 Spectral frames are 1-D complex arrays holding the non-negative-frequency
 half spectrum; bin k of an ``n``-bin frame sits at normalized angular
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoFailure, MalformedWav, UnsupportedEncoding
+from .errors import InvalidConfig, IoFailure, MalformedWav, ParseError, UnsupportedEncoding
 
 __all__ = [
     "AudioBuffer",
@@ -21,6 +21,7 @@ __all__ = [
     "Spectrogram",
     "bin_frequencies",
     "cola_deviation",
+    "read_text",
     "read_wav",
     "write_wav",
     "stft",
@@ -149,17 +150,48 @@ def cola_deviation(cfg: StftConfig) -> float:
     return float(np.max(np.abs(steady - mean)) / mean)
 
 
-# --- WAV I/O ---------------------------------------------------------------
+# --- file I/O --------------------------------------------------------------
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file, newlines untranslated.
+
+    An unreadable path is IoFailure and bytes that are not UTF-8 are ParseError.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+# A WAVE_FORMAT_EXTENSIBLE SubFormat GUID is a plain format tag (2 bytes,
+# little-endian) followed by these 14 bytes.
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_format_tag(path, fmt_body: bytes) -> int:
+    """The PCM or float format tag named by an extensible fmt chunk's SubFormat."""
+    if len(fmt_body) < 40 or struct.unpack_from("<H", fmt_body, 16)[0] < 22:
+        raise MalformedWav(f"{path}: extensible fmt chunk truncated")
+    guid = fmt_body[24:40]
+    (tag,) = struct.unpack_from("<H", guid)
+    if guid[2:] != _SUBFORMAT_GUID_TAIL or tag not in (_FMT_PCM, _FMT_IEEE_FLOAT):
+        raise UnsupportedEncoding(f"{path}: extensible subformat {guid.hex()}")
+    return tag
 
 
 def read_wav(path) -> AudioBuffer:
     """Read a PCM WAV file (8/16/24-bit integer or 32-bit float, any channel count).
 
-    Multi-channel audio is averaged to mono; integer samples are scaled to
-    [-1, 1). Every failure, including an unreadable path, is a VoicemaskError.
+    WAVE_FORMAT_EXTENSIBLE files whose SubFormat is PCM or float decode the
+    same way. Multi-channel audio is averaged to mono; integer samples are
+    scaled to [-1, 1). Every failure, including an unreadable path, is a
+    VoicemaskError.
     """
     try:
         data = Path(path).read_bytes()
@@ -168,7 +200,7 @@ def read_wav(path) -> AudioBuffer:
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: not a RIFF/WAVE file")
 
-    fmt = None
+    fmt = fmt_body = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
@@ -178,7 +210,7 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWav(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt, fmt_body = struct.unpack_from("<HHIIHH", body, 0), body
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise MalformedWav(f"{path}: data chunk truncated")
@@ -190,6 +222,8 @@ def read_wav(path) -> AudioBuffer:
     format_tag, channels, rate, _, _, bits = fmt
     if channels < 1 or rate < 1:
         raise MalformedWav(f"{path}: invalid channel count or sample rate")
+    if format_tag == _FMT_EXTENSIBLE:
+        format_tag = _extensible_format_tag(path, fmt_body)
 
     if format_tag == _FMT_PCM and bits == 8:
         samples = (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
@@ -203,17 +237,17 @@ def read_wav(path) -> AudioBuffer:
         value -= (value & 0x800000) << 1  # sign extension
         samples = value.astype(np.float64) / 8388608.0
     elif format_tag == _FMT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
+        if not np.all(np.isfinite(samples)):  # checked before widening: a signalling NaN warns
+            raise MalformedWav(f"{path}: float samples must be finite")
+        samples = samples.astype(np.float64)
     else:
         raise UnsupportedEncoding(f"{path}: format tag {format_tag} with {bits} bits")
 
     if channels > 1:
         samples = samples[: samples.size // channels * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)
-    try:
-        return AudioBuffer(samples, rate)
-    except ValueError as exc:  # float data can hold NaN or infinity
-        raise MalformedWav(f"{path}: {exc}") from None
+    return AudioBuffer(samples, rate)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:

@@ -30,7 +30,7 @@ from .errors import (
     TooFewFrames,
     TooShort,
 )
-from .signal_core import AudioBuffer
+from .signal_core import AudioBuffer, read_text
 
 __all__ = [
     "FeatureConfig",
@@ -79,7 +79,10 @@ class SpeakerModel:
         C = np.asarray(self.C, dtype=np.float64).copy()
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise DimensionMismatch(f"covariance must be square, got {C.shape}")
-        if np.max(np.abs(C - C.T)) > 1e-10 * max(1.0, np.max(np.abs(C))):
+        scale = np.max(np.abs(C))
+        if not scale < np.inf:  # NaN fails too
+            raise ValueError("covariance must be finite")
+        if np.max(np.abs(C - C.T)) > 1e-10 * max(1.0, scale):
             raise ValueError("covariance must be symmetric")
         if self.gender not in ("M", "F", "U"):
             raise ValueError(f"gender must be M, F, or U, got {self.gender!r}")
@@ -250,7 +253,7 @@ def save_models(path, models) -> None:
 def load_models(path) -> list[SpeakerModel]:
     """Read back a model store written by save_models."""
     models = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -259,8 +262,10 @@ def load_models(path) -> list[SpeakerModel]:
         match = _HEADER_RE.match(lines[i])
         if match is None:
             raise ParseError(f"bad model header {lines[i]!r}", line=i + 1)
-        p = int(match.group(1))
-        label, gender, n_frames = match.group(2), match.group(3), int(match.group(4))
+        try:  # int() refuses digit strings longer than 4300
+            p, n_frames = int(match.group(1)), int(match.group(4))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=i + 1) from None
         rows = []
         for j in range(p):
             try:
@@ -270,8 +275,10 @@ def load_models(path) -> list[SpeakerModel]:
             if len(row) != p:
                 raise ParseError(f"expected {p} values, got {len(row)}", line=i + 2 + j)
             rows.append(row)
-        models.append(
-            SpeakerModel(label=label, gender=gender, C=np.array(rows), n_frames=n_frames)
-        )
+        try:
+            model = SpeakerModel(match.group(2), match.group(3), np.array(rows), n_frames)
+        except ValueError as exc:  # a matrix that is not finite or not symmetric
+            raise ParseError(str(exc), line=i + 1) from None
+        models.append(model)
         i += 1 + p
     return models

@@ -33,6 +33,7 @@ __all__ = [
 FAMILIES = ("symmetric", "asymmetric", "quadratic", "power", "bilinear")
 
 _BREAK = 7.0 * np.pi / 8.0
+_MIN_POSITIVE_ALPHA = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,12 @@ class WarpSpec:
         if self.family not in FAMILIES:
             raise InvalidAlpha(f"unknown warp family {self.family!r}")
         a = float(self.alpha)
+        if not np.isfinite(a):
+            raise InvalidAlpha(f"alpha must be finite, got {a}")
         if self.family in ("symmetric", "asymmetric", "power"):
-            if not a > 0.0:
-                raise InvalidAlpha(f"{self.family} warp requires alpha > 0, got {a}")
+            # a subnormal alpha would overflow pi / alpha in the inverse
+            if not a >= _MIN_POSITIVE_ALPHA:
+                raise InvalidAlpha(f"{self.family} warp requires a normal alpha > 0, got {a}")
         elif self.family == "quadratic":
             if not abs(a) < np.pi:
                 raise InvalidAlpha(f"quadratic warp requires |alpha| < pi, got {a}")

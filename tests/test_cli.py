@@ -74,6 +74,25 @@ class TestTransform:
         expected = np.angle((z - alpha) / (1 - alpha * z)) * (SR / 2) / np.pi
         assert abs(dominant_freq(read_wav(out).samples) - expected) <= SR / 256 / 2 + SR / 1024
 
+    @pytest.mark.parametrize("degree", ["-1", "26"])
+    def test_degree_outside_range_is_usage_error(self, capsys, tone_wav, tmp_path, degree):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["transform", "--algo", "voc", "--degree", degree,
+                 "--in", str(tone_wav), "--out", str(tmp_path / "o.wav")]
+            )
+        assert exit_info.value.code == 2
+        assert "--degree must be in 0..25" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.parametrize("degree", ["0", "25"])
+    def test_degree_range_ends_are_accepted(self, capsys, tone_wav, tmp_path, degree):
+        code, _, _ = run(
+            capsys, "transform", "--algo", "vocf", "--degree", degree,
+            "--in", str(tone_wav), "--out", str(tmp_path / "o.wav"),
+        )
+        assert code == 0
+
     def test_alpha_invalid_for_vocoder(self, tone_wav, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
             main(

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def wav_bytes(fmt_tag, channels, rate, bits, payload):
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, fmt_tag, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits
     )
+    return header + b"data" + struct.pack("<I", len(payload)) + payload
+
+
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def extensible_wav_bytes(channels, rate, bits, payload, guid, cb_size=22):
+    """A WAVE_FORMAT_EXTENSIBLE file: the 16-byte fmt, cbSize and a 22-byte extension."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block, block, bits)
+    fmt += struct.pack("<HHI", cb_size, bits, 0x3) + guid
+    header = b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     return header + b"data" + struct.pack("<I", len(payload)) + payload
 
 
@@ -116,6 +131,56 @@ class TestReadWav:
     def test_non_finite_float_samples_rejected(self, tmp_path, bad):
         path = tmp_path / "nan.wav"
         path.write_bytes(wav_bytes(3, 1, SR, 32, struct.pack("<3f", 0.5, bad, 0.0)))
+        with pytest.raises(MalformedWav):
+            read_wav(path)
+
+
+    def test_signalling_nan_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "snan.wav"
+        payload = struct.pack("<3I", 0x3F000000, 0x7FA00000, 0)  # 0.5, sNaN, 0.0
+        path.write_bytes(wav_bytes(3, 1, SR, 32, payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedWav):
+                read_wav(path)
+
+
+class TestExtensibleWav:
+    def test_24bit_stereo_pcm_decodes_like_tag_1(self, tmp_path):
+        payload = bytes([0x00, 0x00, 0x80, 0xFF, 0xFF, 0x7F, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00])
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(1, 2, SR, 24, payload))
+        extensible.write_bytes(extensible_wav_bytes(2, SR, 24, payload, PCM_GUID))
+        got = read_wav(extensible)
+        assert got.samples.tobytes() == read_wav(plain).samples.tobytes()
+        np.testing.assert_allclose(got.samples, [(-1.0 + 8388607 / 8388608) / 2, 0.25])
+        assert got.sample_rate == SR
+
+    def test_float32_decodes_like_tag_3(self, tmp_path):
+        payload = struct.pack("<4f", 0.5, -0.25, 1.0, 0.0)
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(3, 1, SR, 32, payload))
+        extensible.write_bytes(extensible_wav_bytes(1, SR, 32, payload, FLOAT_GUID))
+        got = read_wav(extensible)
+        assert got.samples.tobytes() == read_wav(plain).samples.tobytes()
+        np.testing.assert_array_equal(got.samples, [0.5, -0.25, 1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "guid",
+        [
+            bytes.fromhex("0700000000001000800000aa00389b71"),  # mu-law
+            bytes.fromhex("0100000000001000800000aa00389b72"),  # PCM code, foreign GUID tail
+        ],
+    )
+    def test_other_subformat_rejected(self, tmp_path, guid):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(extensible_wav_bytes(1, SR, 16, bytes(8), guid))
+        with pytest.raises(UnsupportedEncoding):
+            read_wav(path)
+
+    def test_short_extension_is_malformed(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(extensible_wav_bytes(1, SR, 16, bytes(8), PCM_GUID, cb_size=10))
         with pytest.raises(MalformedWav):
             read_wav(path)
 

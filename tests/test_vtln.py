@@ -57,6 +57,9 @@ class TestWarpSpecValidation:
             ("quadratic", -4.0),
             ("bilinear", 1.0),
             ("bilinear", -1.2),
+            ("symmetric", np.inf),
+            ("power", np.nan),
+            ("asymmetric", 5e-324),  # subnormal: pi / alpha overflows
         ],
     )
     def test_out_of_range_alpha(self, family, alpha):
