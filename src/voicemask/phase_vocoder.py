@@ -10,6 +10,9 @@ independently.
 Peaks, regions and instantaneous frequencies depend on the analysis spectrum
 alone, not on the ratio, so ``analyse_pitch`` computes them once per buffer
 and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
+``analyse_pitch`` finds the peaks and regions of all frames in one pass over
+the frame stack; ``detect_peaks`` and ``regions_of_influence`` are its
+one-frame case.
 """
 
 from __future__ import annotations
@@ -70,63 +73,85 @@ def princarg(phase):
     return phase - 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
 
 
+def _peak_mask(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
+    """Mask of the bins whose magnitude strictly exceeds all neighbors in span.
+
+    Works along the last axis, so every row of a frame stack is its own
+    spectrum. Only interior bins with a complete neighborhood qualify.
+    """
+    if neighbor_span not in (2, 4):
+        raise ValueError(f"neighbor_span must be 2 or 4, got {neighbor_span}")
+    n = mag.shape[-1]
+    half = neighbor_span // 2
+    is_peak = np.zeros(mag.shape, dtype=bool)
+    if n >= 2 * half + 1:
+        core = mag[..., half : n - half]
+        inner = is_peak[..., half : n - half]
+        inner[...] = True
+        for off in range(1, half + 1):
+            inner &= core > mag[..., half - off : n - half - off]
+            inner &= core > mag[..., half + off : n - half + off]
+    return is_peak
+
+
+def _partition(mag: np.ndarray, is_peak: np.ndarray) -> np.ndarray:
+    """Regions of influence of the marked peaks of every row, in one pass.
+
+    ``mag`` and ``is_peak`` are (n_frames, n_bins). Returns the (peak, lo, hi)
+    rows frame after frame, each frame's in peak order and covering all its
+    bins. Only two peaks of one row bound a gap, so no region crosses a frame.
+    """
+    n = mag.shape[1]
+    peak_at = np.flatnonzero(is_peak)
+    regions = np.stack([peak_at % n, np.zeros_like(peak_at), np.full_like(peak_at, n - 1)], axis=1)
+    # A gap's first lowest bin is no larger than its neighbors inside the gap.
+    mid = mag[:, 1:-1]
+    candidate = np.zeros_like(is_peak)
+    candidate[:, 1:-1] = (
+        ((mid <= mag[:, :-2]) | is_peak[:, :-2]) & ((mid <= mag[:, 2:]) | is_peak[:, 2:])
+    ) & ~is_peak[:, 1:-1]
+    at = np.flatnonzero(candidate)
+    closing = np.searchsorted(peak_at, at)  # the peak that ends each candidate's gap
+    row = peak_at // n
+    in_gap = np.concatenate(([False], row[1:] == row[:-1], [False]))[closing]
+    at, closing = at[in_gap], closing[in_gap]
+    # Candidates come grouped by gap and in bin order: the boundary is the
+    # first one that holds its group's lowest value.
+    starts = np.flatnonzero(np.diff(closing, prepend=-1))
+    values = mag.reshape(-1)[at]
+    lowest = np.repeat(np.minimum.reduceat(values, starts), np.diff(starts, append=at.size))
+    bounds = np.minimum.reduceat(np.where(values == lowest, at, mag.size), starts) % n
+    right = closing[starts]
+    regions[right - 1, 2] = bounds
+    regions[right, 1] = bounds + 1
+    return regions
+
+
 def detect_peaks(frame: np.ndarray, neighbor_span: int = 2) -> np.ndarray:
     """Indices of bins whose magnitude strictly exceeds all neighbors in span.
 
     Only interior bins with a complete neighborhood qualify; the result is a
     strictly increasing int array (possibly empty).
     """
-    if neighbor_span not in (2, 4):
-        raise ValueError(f"neighbor_span must be 2 or 4, got {neighbor_span}")
-    mag = np.abs(np.asarray(frame))
-    n = mag.size
-    half = neighbor_span // 2
-    if n < 2 * half + 1:
-        return np.empty(0, dtype=np.intp)
-    core = mag[half : n - half]
-    is_peak = np.ones(n - 2 * half, dtype=bool)
-    for off in range(1, half + 1):
-        is_peak &= core > mag[half - off : n - half - off]
-        is_peak &= core > mag[half + off : n - half + off]
-    return np.flatnonzero(is_peak) + half
+    return np.flatnonzero(_peak_mask(np.abs(np.asarray(frame)), neighbor_span))
 
 
 def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """Partition all bins into contiguous regions, one per peak.
 
-    The boundary between consecutive peaks sits at the lowest-magnitude bin
-    strictly between them (ties to the lower index) and closes the left
-    region. Returns an int array of (peak, lo, hi) rows covering every bin.
+    ``peaks`` is strictly increasing with at least one bin between
+    neighbors. The boundary between consecutive peaks sits at the
+    lowest-magnitude bin strictly between them (ties to the lower index) and
+    closes the left region. Returns an int array of (peak, lo, hi) rows
+    covering every bin.
     """
     peaks = np.asarray(peaks, dtype=np.intp)
     if peaks.size == 0:
         raise EmptyPeakSet("cannot partition a frame with no peaks")
     mag = np.abs(np.asarray(frame))
-    n = mag.size
-    regions = np.empty((peaks.size, 3), dtype=np.intp)
-    regions[:, 0] = peaks
-    if peaks.size > 1:
-        # Lowest-magnitude bin strictly between consecutive peaks, first
-        # occurrence on ties. Interleaved reduceat bounds give the per-gap
-        # minima; the segments between gaps are computed and discarded.
-        starts = peaks[:-1] + 1
-        ends = peaks[1:]
-        lens = ends - starts
-        bounds = np.empty(2 * starts.size, dtype=np.intp)
-        bounds[0::2] = starts
-        bounds[1::2] = ends
-        gap_min = np.minimum.reduceat(mag, bounds)[0::2]
-        seg = np.repeat(np.arange(lens.size), lens)
-        offsets = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-        positions = np.repeat(starts, lens) + offsets
-        hit = np.flatnonzero(mag[positions] == gap_min[seg])
-        first = np.searchsorted(seg[hit], np.arange(lens.size))
-        boundaries = positions[hit[first]]
-        regions[:-1, 2] = boundaries
-        regions[1:, 1] = boundaries + 1
-    regions[0, 1] = 0
-    regions[-1, 2] = n - 1
-    return regions
+    is_peak = np.zeros(mag.size, dtype=bool)
+    is_peak[peaks] = True
+    return _partition(mag[None], is_peak[None])
 
 
 def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> np.ndarray:
@@ -334,16 +359,20 @@ def analyse_pitch(
 ) -> PitchAnalysis:
     """Analyse a buffer once for pitch shifting at any ratio."""
     frames = stft(buf, cfg).frames
-    partitions = []
-    for mag in np.abs(frames):
-        peaks = detect_peaks(mag, neighbor_span)
-        partitions.append(regions_of_influence(mag, peaks) if peaks.size else None)
+    mag = np.abs(frames)
+    is_peak = _peak_mask(mag, neighbor_span)
+    # Copies, not views: each frame owns its rows, as when frames were
+    # partitioned one at a time.
+    partitions = tuple(
+        rows.copy() if rows.size else None
+        for rows in np.split(_partition(mag, is_peak), np.cumsum(is_peak.sum(axis=1))[:-1])
+    )
     phase = np.angle(frames)
     inst_freq = np.empty_like(phase)
     inst_freq[0] = bin_frequencies(cfg.n_bins)
     inst_freq[1:] = _instantaneous_freq(phase[1:], phase[:-1], cfg.hop)
     return PitchAnalysis(
-        frames, inst_freq, tuple(partitions), neighbor_span, cfg, buf.sample_rate, len(buf)
+        frames, inst_freq, partitions, neighbor_span, cfg, buf.sample_rate, len(buf)
     )
 
 

@@ -295,14 +295,20 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     w = cfg.window_samples()
     frames = np.fft.irfft(spec.frames, n=cfg.frame_len, axis=1)
     frames *= w  # in place: no second (n_frames, frame_len) array at the memory peak
-    out_len = (spec.n_frames - 1) * cfg.hop + cfg.frame_len
-    acc = np.zeros(out_len)
-    norm = np.zeros(out_len)
+    n_frames, hop = spec.n_frames, cfg.hop
+    out_len = (n_frames - 1) * hop + cfg.frame_len
+    # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
+    # Running k downwards adds each sample's frames in ascending order.
+    n_blocks = -(-cfg.frame_len // hop)
+    acc = np.zeros((n_frames + n_blocks - 1, hop))
+    norm = np.zeros_like(acc)
     w_sq = w * w
-    for t in range(spec.n_frames):
-        start = t * cfg.hop
-        acc[start : start + cfg.frame_len] += frames[t]
-        norm[start : start + cfg.frame_len] += w_sq
+    for k in reversed(range(n_blocks)):
+        cols = slice(k * hop, min((k + 1) * hop, cfg.frame_len))
+        width = cols.stop - cols.start
+        acc[k : k + n_frames, :width] += frames[:, cols]
+        norm[k : k + n_frames, :width] += w_sq[cols]
+    acc, norm = acc.reshape(-1)[:out_len], norm.reshape(-1)[:out_len]
     # Floor the normalizer at 1% of its peak: keeps division exact wherever
     # the window sum is well conditioned and stops modified (non-COLA) frame
     # content from being amplified at the outermost samples.

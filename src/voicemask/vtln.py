@@ -24,7 +24,6 @@ __all__ = [
     "WarpAnalysis",
     "warp_value",
     "invert_warp",
-    "warp_spectrum",
     "analyse_warp",
     "warp_analysed",
     "vtln_transform",
@@ -144,8 +143,16 @@ def invert_warp(spec: WarpSpec, omega_out):
 
 
 def _source_positions(spec: WarpSpec, n_bins: int) -> np.ndarray:
-    """Fractional input-bin position feeding each output bin."""
-    src = invert_warp(spec, bin_frequencies(n_bins))
+    """Fractional input-bin position feeding each output bin.
+
+    Where the warp is flat at pi (asymmetric, alpha >= 8/7), the top bin
+    reads pi / alpha, the lowest preimage of pi.
+    """
+    omega = bin_frequencies(n_bins)
+    if spec.family == "asymmetric" and spec.alpha * _BREAK >= np.pi:
+        src = np.append(invert_warp(spec, omega[:-1]), np.pi / spec.alpha)
+    else:
+        src = invert_warp(spec, omega)
     return (src / np.pi) * (n_bins - 1)
 
 
@@ -156,17 +163,6 @@ def _resample_frames(mag: np.ndarray, phase: np.ndarray, pos: np.ndarray) -> np.
     out_mag = (1.0 - frac) * mag[..., idx] + frac * mag[..., idx + 1]
     out_phase = (1.0 - frac) * phase[..., idx] + frac * phase[..., idx + 1]
     return out_mag * np.exp(1j * out_phase)
-
-
-def warp_spectrum(frame: np.ndarray, spec: WarpSpec) -> np.ndarray:
-    """Warp one half-spectrum frame along the frequency axis.
-
-    Output bin at frequency w carries the input sampled at invert_warp(w);
-    magnitude and unwrapped phase are interpolated separately.
-    """
-    bins = np.asarray(frame, dtype=np.complex128)
-    pos = _source_positions(spec, bins.size)
-    return _resample_frames(np.abs(bins), np.unwrap(np.angle(bins)), pos)
 
 
 @dataclass(frozen=True)

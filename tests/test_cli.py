@@ -118,6 +118,18 @@ class TestTransform:
         assert code == 0
         assert abs(dominant_freq(read_wav(out).samples) - 330.0) <= SR / 1024
 
+    def test_asymmetric_alpha_flat_at_pi(self, capsys, tone_wav, tmp_path):
+        # alpha >= 8/7 maps [pi/alpha, pi] onto pi; the transform still runs.
+        out = tmp_path / "out.wav"
+        code, _, err = run(
+            capsys, "transform", "--algo", "asymmetric", "--alpha", "1.2",
+            "--in", str(tone_wav), "--out", str(out),
+        )
+        assert code == 0, err
+        written, source = read_wav(out), read_wav(tone_wav)
+        assert len(written) == len(source)
+        assert written.sample_rate == source.sample_rate
+
     def test_missing_input_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "transform", "--algo", "voc", "--degree", "1",

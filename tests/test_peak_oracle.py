@@ -1,0 +1,101 @@
+"""Property tests for the one-pass peak and region finder.
+
+``analyse_pitch`` finds every frame's peaks and regions of influence in one
+pass over the frame stack, and ``detect_peaks``/``regions_of_influence`` are
+its one-frame case. All three must agree byte for byte with the per-frame
+loop frozen in ``peak_reference.py``, with None exactly where a frame has no
+peak.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from voicemask import (
+    AudioBuffer,
+    Spectrogram,
+    StftConfig,
+    analyse_pitch,
+    detect_peaks,
+    regions_of_influence,
+)
+from voicemask import phase_vocoder
+
+import peak_reference
+
+# A few magnitude levels make ties and plateaus common; the four unit phases
+# keep every magnitude exact, so a tie in the draw is a tie in np.abs.
+LEVELS = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+UNITS = np.array([1.0, 1j, -1.0, -1j])
+
+
+@st.composite
+def stacks(draw, bin_counts, max_frames=12):
+    """A complex (n_frames, n_bins) stack with small-integer magnitudes.
+
+    Some frames are all zeros or one constant level.
+    """
+    n_frames = draw(st.integers(1, max_frames))
+    n_bins = draw(st.sampled_from(bin_counts))
+    mags = draw(hnp.arrays(np.float64, (n_frames, n_bins), elements=LEVELS))
+    kind = st.sampled_from(["levels", "levels", "zero", "constant"])
+    for row, row_kind in enumerate(draw(st.lists(kind, min_size=n_frames, max_size=n_frames))):
+        if row_kind == "zero":
+            mags[row] = 0.0
+        elif row_kind == "constant":
+            mags[row] = draw(LEVELS)
+    phases = draw(hnp.arrays(np.intp, mags.shape, elements=st.integers(0, 3)))
+    return mags * UNITS[phases]
+
+
+@st.composite
+def peak_sets(draw, n_bins):
+    """A strictly increasing peak set with at least one bin between neighbors."""
+    first = draw(st.integers(0, n_bins - 1))
+    steps = draw(st.lists(st.integers(2, 12), max_size=n_bins // 2))
+    return np.array([p for p in np.cumsum([first, *steps]) if p < n_bins])
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAnalysePitchMatchesPerFrameLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(frames=stacks((5, 9, 17, 33)), span=st.sampled_from([2, 4]))
+    def test_partitions_byte_equal(self, frames, span):
+        cfg = StftConfig(frame_len=2 * (frames.shape[1] - 1), hop=1)
+
+        def fixed_stft(buf, cfg):
+            return Spectrogram(frames, cfg, buf.sample_rate)
+
+        with mock.patch.object(phase_vocoder, "stft", fixed_stft):
+            analysis = analyse_pitch(AudioBuffer(np.zeros(8), 8000), cfg, span)
+        want = peak_reference.partitions(frames, span)
+        assert len(analysis.partitions) == len(want)
+        for got, expected in zip(analysis.partitions, want):
+            if expected is None:
+                assert got is None
+            else:
+                assert_same(got, expected)
+                assert not got.flags.writeable
+
+
+class TestOneFrameCase:
+    @settings(max_examples=300, deadline=None)
+    @given(frames=stacks(range(5, 65), max_frames=1), span=st.sampled_from([2, 4]))
+    def test_detect_peaks_byte_equal(self, frames, span):
+        want = peak_reference.detect_peaks(np.abs(frames[0]), span)
+        assert_same(detect_peaks(frames[0], span), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), frames=stacks(range(5, 65), max_frames=1))
+    def test_regions_of_any_peak_set_byte_equal(self, data, frames):
+        frame = frames[0]
+        peaks = data.draw(peak_sets(frame.size))
+        want = peak_reference.regions_of_influence(np.abs(frame), peaks)
+        assert_same(regions_of_influence(frame, peaks), want)

@@ -21,7 +21,6 @@ from voicemask import (
     regions_of_influence,
     shift_coefficients,
 )
-from voicemask.errors import NotInvertible
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import phase_reference
@@ -128,15 +127,9 @@ class TestTransformsStayFinite:
         sample_rate=st.integers(1, 192000),
     )
     def test_finite_in_finite_out(self, transform, samples, sample_rate):
-        spec, apply = transform
+        _, apply = transform
         buf = AudioBuffer(samples, sample_rate)
-        try:
-            out = apply(buf)
-        except NotInvertible:
-            # asymmetric warps with alpha >= 8/7 are flat at pi and have no inverse
-            assert isinstance(spec, WarpSpec) and spec.family == "asymmetric"
-            assert spec.alpha >= 8.0 / 7.0 - 1e-12
-            return
+        out = apply(buf)
         assert len(out) == len(buf)
         assert out.sample_rate == buf.sample_rate
         assert np.all(np.isfinite(out.samples))

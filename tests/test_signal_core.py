@@ -345,3 +345,23 @@ class TestIstft:
     def test_preserves_sample_rate(self):
         buf = make_tone(440, seconds=0.5, sr=8000)
         assert istft(stft(buf)).sample_rate == 8000
+
+    @pytest.mark.parametrize("hop", [1, 5, 16, 24, 63, 64])
+    @pytest.mark.parametrize("window", ["hann", "hamming", "rect"])
+    def test_equals_frame_by_frame_overlap_add(self, hop, window):
+        # Bytes of the plain loop that adds frame t at sample t * hop; hops
+        # that do not divide frame_len leave a partial last block.
+        cfg = StftConfig(frame_len=64, hop=hop, window=window)
+        rng = np.random.default_rng(hop)
+        sg = stft(AudioBuffer(rng.standard_normal(300), SR), cfg)
+        scrambled = sg.frames * np.exp(2j * np.pi * rng.random(sg.frames.shape))
+        w = cfg.window_samples()
+        frames = np.fft.irfft(scrambled, n=64, axis=1) * w
+        acc = np.zeros((sg.n_frames - 1) * hop + 64)
+        norm = np.zeros_like(acc)
+        for t, frame in enumerate(frames):
+            acc[t * hop : t * hop + 64] += frame
+            norm[t * hop : t * hop + 64] += w * w
+        want = acc / np.maximum(norm, 1e-2 * norm.max())
+        got = istft(Spectrogram(scrambled, cfg, SR)).samples
+        assert got.tobytes() == want.tobytes()
