@@ -17,12 +17,16 @@ class UnsupportedEncoding(VoicemaskError):
     """WAV encoding other than integer PCM or 32-bit float."""
 
 
-class InvalidConfig(VoicemaskError):
-    """Analysis configuration violates its constraints."""
+class InvalidConfig(VoicemaskError, ValueError):
+    """Analysis or feature configuration violates its constraints."""
 
 
 class EmptyPeakSet(VoicemaskError):
     """Region partitioning was asked to run on a frame with no peaks."""
+
+
+class InvalidPeakSet(VoicemaskError, ValueError):
+    """Peaks that are out of range, unsorted, repeated or adjacent."""
 
 
 class InvalidAlpha(VoicemaskError):
@@ -47,6 +51,10 @@ class DimensionMismatch(VoicemaskError):
 
 class NotPositiveDefinite(VoicemaskError):
     """Covariance matrix could not be factorized."""
+
+
+class InvalidModel(VoicemaskError, ValueError):
+    """Covariance that is not finite or not symmetric, or an unknown gender label."""
 
 
 class EmptyEnrollment(VoicemaskError):

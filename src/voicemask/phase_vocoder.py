@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPeakSet
+from .errors import EmptyPeakSet, InvalidPeakSet
 from .signal_core import (
     AudioBuffer,
     Spectrogram,
@@ -139,16 +139,21 @@ def detect_peaks(frame: np.ndarray, neighbor_span: int = 2) -> np.ndarray:
 def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """Partition all bins into contiguous regions, one per peak.
 
-    ``peaks`` is strictly increasing with at least one bin between
-    neighbors. The boundary between consecutive peaks sits at the
-    lowest-magnitude bin strictly between them (ties to the lower index) and
-    closes the left region. Returns an int array of (peak, lo, hi) rows
-    covering every bin.
+    ``peaks`` must be bins of the frame, strictly increasing with at least
+    one bin between neighbors (InvalidPeakSet otherwise). The boundary
+    between consecutive peaks sits at the lowest-magnitude bin strictly
+    between them (ties to the lower index) and closes the left region.
+    Returns an int array of (peak, lo, hi) rows covering every bin.
     """
     peaks = np.asarray(peaks, dtype=np.intp)
     if peaks.size == 0:
         raise EmptyPeakSet("cannot partition a frame with no peaks")
     mag = np.abs(np.asarray(frame))
+    if peaks.ndim != 1 or peaks[0] < 0 or peaks[-1] >= mag.size or np.any(np.diff(peaks) < 2):
+        raise InvalidPeakSet(
+            f"peaks must be increasing bins of 0..{mag.size - 1} with a bin between "
+            f"neighbors, got {peaks.tolist()}"
+        )
     is_peak = np.zeros(mag.size, dtype=bool)
     is_peak[peaks] = True
     return _partition(mag[None], is_peak[None])

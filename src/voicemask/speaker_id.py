@@ -23,6 +23,8 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     EmptyEnrollment,
+    InvalidConfig,
+    InvalidModel,
     InvariantViolation,
     MissingGender,
     NotPositiveDefinite,
@@ -47,6 +49,9 @@ __all__ = [
 
 _ENERGY_FLOOR = 1e-10
 _REGULARIZATION = 1e-6
+# The LAPACK routines behind scipy's cho_factor/cho_solve, called directly
+# with the flags those wrappers pass, so every bit matches theirs.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,9 @@ class FeatureConfig:
 
     def __post_init__(self):
         if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+            raise InvalidConfig(f"order must be >= 2, got {self.order}")
         if self.frame_ms <= 0 or self.hop_ms <= 0 or self.n_mel < self.order:
-            raise ValueError("invalid framing or filterbank parameters")
+            raise InvalidConfig("invalid framing or filterbank parameters")
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,15 @@ class SpeakerModel:
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=np.float64).copy()
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise DimensionMismatch(f"covariance must be square, got {C.shape}")
+        if C.ndim != 2 or C.shape[0] != C.shape[1] or not C.size:
+            raise DimensionMismatch(f"covariance must be square and non-empty, got {C.shape}")
         scale = np.max(np.abs(C))
         if not scale < np.inf:  # NaN fails too
-            raise ValueError("covariance must be finite")
+            raise InvalidModel("covariance must be finite")
         if np.max(np.abs(C - C.T)) > 1e-10 * max(1.0, scale):
-            raise ValueError("covariance must be symmetric")
+            raise InvalidModel("covariance must be symmetric")
         if self.gender not in ("M", "F", "U"):
-            raise ValueError(f"gender must be M, F, or U, got {self.gender!r}")
+            raise InvalidModel(f"gender must be M, F, or U, got {self.gender!r}")
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
 
@@ -131,9 +136,7 @@ def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> n
         raise TooShort(f"need at least {frame} samples, got {x.size}")
 
     emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
-    n_frames = (x.size - frame) // hop + 1
-    offsets = hop * np.arange(n_frames)
-    frames = emphasized[offsets[:, None] + np.arange(frame)[None, :]]
+    frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame)[::hop]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
 
     n_fft = 1 << (frame - 1).bit_length()
@@ -166,32 +169,41 @@ def covariance_model(feats: np.ndarray, label: str, gender: str = "U") -> Speake
     return SpeakerModel(label=label, gender=gender, C=C, n_frames=n)
 
 
+def _cholesky(c: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of c, upper triangle left as cho_factor leaves it."""
+    factor, info = _POTRF(c, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    return factor
+
+
+def _sphericity(a: np.ndarray, b: np.ndarray, fa=None) -> float:
+    """mu(a, b), reusing fa, the lower Cholesky factor of a, when given."""
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"incompatible covariance shapes {a.shape} and {b.shape}")
+    if fa is None:
+        fa = _cholesky(a)
+    tr_ab = np.trace(_POTRS(_cholesky(b), a, lower=1)[0])
+    tr_ba = np.trace(_POTRS(fa, b, lower=1)[0])
+    return float(np.log(tr_ab * tr_ba) - 2.0 * np.log(a.shape[0]))
+
+
 def sphericity_distance(c_test: np.ndarray, c_ref: np.ndarray) -> float:
     """Arithmetic-harmonic sphericity between two SPD matrices; lower is closer."""
-    a = np.asarray(c_test, dtype=np.float64)
-    b = np.asarray(c_ref, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible covariance shapes {a.shape} and {b.shape}")
-    p = a.shape[0]
-    try:
-        fa = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        fb = scipy.linalg.cho_factor(b, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    tr_ab = np.trace(scipy.linalg.cho_solve(fb, a, check_finite=False))
-    tr_ba = np.trace(scipy.linalg.cho_solve(fa, b, check_finite=False))
-    return float(np.log(tr_ab * tr_ba) - 2.0 * np.log(p))
+    return _sphericity(np.asarray(c_test, dtype=np.float64), np.asarray(c_ref, dtype=np.float64))
 
 
 def identify_speaker(test: SpeakerModel, enrolled) -> list[tuple[str, float]]:
     """Rank enrolled models by ascending sphericity distance to the test model.
 
-    Ties break lexicographically by label; the top entry is the decision.
+    The probe is factored once per call. Ties break lexicographically by
+    label; the top entry is the decision.
     """
     enrolled = list(enrolled)
     if not enrolled:
         raise EmptyEnrollment("no enrolled models")
-    scored = [(model.label, sphericity_distance(test.C, model.C)) for model in enrolled]
+    factor = _cholesky(test.C)
+    scored = [(model.label, _sphericity(test.C, model.C, factor)) for model in enrolled]
     return sorted(scored, key=lambda item: (item[1], item[0]))
 
 
@@ -203,7 +215,7 @@ def train_gender_models(corpus) -> tuple[SpeakerModel, SpeakerModel]:
     pools: dict[str, list[np.ndarray]] = {"M": [], "F": []}
     for feats, gender in corpus:
         if gender not in pools:
-            raise ValueError(f"gender must be M or F, got {gender!r}")
+            raise InvalidModel(f"gender must be M or F, got {gender!r}")
         pools[gender].append(np.asarray(feats, dtype=np.float64))
     for gender, sequences in pools.items():
         if not sequences:
@@ -217,8 +229,9 @@ def classify_gender(
     test: SpeakerModel, male: SpeakerModel, female: SpeakerModel
 ) -> tuple[str, float]:
     """Nearer of the two gender models; exact ties resolve to M."""
-    mu_m = sphericity_distance(test.C, male.C)
-    mu_f = sphericity_distance(test.C, female.C)
+    factor = _cholesky(test.C)
+    mu_m = _sphericity(test.C, male.C, factor)
+    mu_f = _sphericity(test.C, female.C, factor)
     gender = "M" if mu_m <= mu_f else "F"
     return gender, abs(mu_m - mu_f)
 
@@ -250,6 +263,17 @@ def save_models(path, models) -> None:
     Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
+def _raise_first_bad_row(lines, first, p) -> None:
+    """Raise the ParseError of the first bad row of the matrix at lines[first]."""
+    for j in range(first, first + p):
+        try:
+            row = [float(v) for v in lines[j].split()]
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"bad matrix row: {exc}", line=j + 1) from exc
+        if len(row) != p:
+            raise ParseError(f"expected {p} values, got {len(row)}", line=j + 1)
+
+
 def load_models(path) -> list[SpeakerModel]:
     """Read back a model store written by save_models."""
     models = []
@@ -266,18 +290,19 @@ def load_models(path) -> list[SpeakerModel]:
             p, n_frames = int(match.group(1)), int(match.group(4))
         except ValueError as exc:
             raise ParseError(str(exc), line=i + 1) from None
-        rows = []
-        for j in range(p):
-            try:
-                row = [float(v) for v in lines[i + 1 + j].split()]
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad matrix row: {exc}", line=i + 2 + j) from exc
+        tokens = []
+        for line in lines[i + 1 : i + 1 + p]:
+            row = line.split()
             if len(row) != p:
-                raise ParseError(f"expected {p} values, got {len(row)}", line=i + 2 + j)
-            rows.append(row)
+                break
+            tokens += row
+        try:  # one float() per token; a short block fails the reshape
+            C = np.array(tokens, dtype=np.float64).reshape(p, p)
+        except ValueError:
+            _raise_first_bad_row(lines, i + 1, p)
         try:
-            model = SpeakerModel(match.group(2), match.group(3), np.array(rows), n_frames)
-        except ValueError as exc:  # a matrix that is not finite or not symmetric
+            model = SpeakerModel(match.group(2), match.group(3), C, n_frames)
+        except InvalidModel as exc:
             raise ParseError(str(exc), line=i + 1) from None
         models.append(model)
         i += 1 + p

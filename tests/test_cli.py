@@ -5,6 +5,7 @@ import pytest
 
 from voicemask import (
     PitchShiftSpec,
+    SpeakerModel,
     enroll,
     load_manifest,
     load_models,
@@ -278,6 +279,30 @@ class TestEnrollIdentifyGender:
         )
         assert code == 1
         assert "gender" in err
+
+    @pytest.mark.parametrize("command", ["identify", "gender"])
+    def test_store_with_indefinite_matrix_is_runtime_error(self, capsys, corpus_dir, tmp_path,
+                                                           command):
+        store = tmp_path / "indefinite.txt"
+        indefinite = np.diag([1.0] * 11 + [-1.0])  # symmetric, so the store takes it
+        save_models(store, [SpeakerModel(label, label, indefinite, 100) for label in ("M", "F")]
+                    + [SpeakerModel("spk00", "U", indefinite, 100)])
+        code, out, err = run(
+            capsys, command, "--models", str(store), "--in", str(corpus_dir / "spk00_u01.wav")
+        )
+        assert code == 1 and out == ""
+        assert err == "error: 12-th leading minor of the array is not positive definite\n"
+
+    @pytest.mark.parametrize("command", ["identify", "gender"])
+    def test_store_of_another_order_is_runtime_error(self, capsys, corpus_dir, tmp_path, command):
+        store = tmp_path / "order2.txt"
+        save_models(store, [SpeakerModel(label, gender, np.eye(2), 100)
+                            for label, gender in (("spk00", "M"), ("M", "M"), ("F", "F"))])
+        code, out, err = run(
+            capsys, command, "--models", str(store), "--in", str(corpus_dir / "spk00_u01.wav")
+        )
+        assert code == 1 and out == ""
+        assert err == "error: incompatible covariance shapes (12, 12) and (2, 2)\n"
 
 
 class TestSynthAndMos:

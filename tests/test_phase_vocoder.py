@@ -16,7 +16,7 @@ from voicemask import (
     shift_coefficients,
     stft,
 )
-from voicemask.errors import EmptyPeakSet
+from voicemask.errors import EmptyPeakSet, InvalidPeakSet, VoicemaskError
 from voicemask.phase_vocoder import princarg
 
 from helpers import SR, band_log_distortion, dominant_freq, interior_snr_db, make_tone, make_vowel
@@ -98,6 +98,20 @@ class TestRegionsOfInfluence:
     def test_empty_peaks_rejected(self):
         with pytest.raises(EmptyPeakSet):
             regions_of_influence(np.ones(8, dtype=complex), np.array([], dtype=int))
+
+    @pytest.mark.parametrize(
+        "peaks",
+        [[1, 2], [5, 1], [1, 1, 5], [3, 9], [-1, 4], [[2, 6]]],
+        ids=["adjacent", "unsorted", "repeated", "past the end", "negative", "2-D"],
+    )
+    def test_invalid_peak_set_rejected(self, peaks):
+        with pytest.raises(InvalidPeakSet) as caught:
+            regions_of_influence(np.ones(9, dtype=complex), np.array(peaks))
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
+    def test_peaks_at_both_ends_accepted(self):
+        partition = regions_of_influence(np.ones(9, dtype=complex), np.array([0, 8]))
+        assert partition.tolist() == [[0, 0, 1], [8, 2, 8]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)

@@ -19,11 +19,15 @@ from voicemask import (
 from voicemask.errors import (
     DimensionMismatch,
     EmptyEnrollment,
+    InvalidConfig,
+    InvalidModel,
     InvariantViolation,
     MissingGender,
     NotPositiveDefinite,
+    ParseError,
     TooFewFrames,
     TooShort,
+    VoicemaskError,
 )
 
 from helpers import SR, make_vowel
@@ -61,6 +65,12 @@ class TestExtractCepstra:
             FeatureConfig(order=1)
         with pytest.raises(ValueError):
             FeatureConfig(n_mel=10)  # fewer mel bands than coefficients
+
+    @pytest.mark.parametrize("kwargs", [{"order": 1}, {"hop_ms": 0.0}, {"n_mel": 10}])
+    def test_config_errors_are_toolkit_errors(self, kwargs):
+        with pytest.raises(InvalidConfig) as caught:
+            FeatureConfig(**kwargs)
+        assert isinstance(caught.value, VoicemaskError)
 
 
 class TestCovarianceModel:
@@ -146,12 +156,41 @@ class TestSphericityDistance:
 
     def test_not_positive_definite(self):
         bad = np.diag([1.0, -1.0])
-        with pytest.raises(NotPositiveDefinite):
+        message = "2-th leading minor of the array is not positive definite"
+        with pytest.raises(NotPositiveDefinite, match=message):
             sphericity_distance(bad, np.eye(2))
+        with pytest.raises(NotPositiveDefinite, match="^1-th leading minor"):
+            sphericity_distance(np.eye(2), -np.eye(2))
+
+    def test_empty_matrices_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sphericity_distance(np.empty((0, 0)), np.empty((0, 0)))
 
 
 def model_of(matrix, label, gender="U"):
     return SpeakerModel(label=label, gender=gender, C=np.asarray(matrix, float), n_frames=100)
+
+
+class TestSpeakerModelErrors:
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, 0.5], [0.25, 1.0]]],
+        ids=["nan", "inf", "asymmetric"],
+    )
+    def test_bad_covariance(self, matrix):
+        with pytest.raises(InvalidModel) as caught:
+            model_of(matrix, "s")
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
+    def test_bad_gender(self):
+        with pytest.raises(InvalidModel) as caught:
+            model_of(np.eye(2), "s", "X")
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_empty_or_non_square_covariance(self, shape):
+        with pytest.raises(DimensionMismatch):
+            model_of(np.ones(shape), "s")
 
 
 class TestIdentifySpeaker:
@@ -212,6 +251,13 @@ class TestGenderModels:
         np.testing.assert_allclose(male_twice.C, factor * male_once.C, atol=1e-12)
         assert abs(sphericity_distance(male_once.C, male_twice.C)) < 1e-9
 
+    def test_unknown_gender_label(self):
+        rng = np.random.default_rng(0)
+        corpus = [(rng.standard_normal((40, 3)), "M"), (rng.standard_normal((40, 3)), "X")]
+        with pytest.raises(InvalidModel) as caught:
+            train_gender_models(corpus)
+        assert isinstance(caught.value, ValueError)
+
     def test_missing_gender(self):
         with pytest.raises(MissingGender):
             train_gender_models([(np.zeros((40, 3)) + np.random.default_rng(0).standard_normal((40, 3)), "M")])
@@ -256,6 +302,22 @@ class TestModelStore:
         save_models(tmp_path / "a.txt", models)
         save_models(tmp_path / "b.txt", models)
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_zero_order_store_is_a_toolkit_error(self, tmp_path):
+        path = tmp_path / "p0.txt"
+        path.write_text("SPKMODEL v1 P=0 label=a gender=M frames=9\n")
+        with pytest.raises(VoicemaskError):
+            load_models(path)
+
+    def test_asymmetric_store_names_the_header_line(self, tmp_path):
+        path = tmp_path / "asym.txt"
+        path.write_text(
+            "SPKMODEL v1 P=1 label=a gender=M frames=9\n2.0\n\n"
+            "SPKMODEL v1 P=2 label=b gender=F frames=9\n1.0 0.5\n0.25 1.0\n"
+        )
+        with pytest.raises(ParseError, match="symmetric") as caught:
+            load_models(path)
+        assert caught.value.line == 4
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
