@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    InvalidConfig,
     InvariantViolation,
     NoCrossover,
     ParseError,
@@ -318,26 +319,44 @@ def _render_utterance(
     t_pos = np.linspace(0.0, n_ctrl - 1.0, total)
     left = np.minimum(t_pos.astype(np.intp), n_ctrl - 2)
     frac = t_pos - left
-    flutter_tracks = 1.0 + flutter * (
-        coarse[:, left] * (1.0 - frac) + coarse[:, left + 1] * frac
-    )
+    rest = 1.0 - frac
+    ctrl_start = np.searchsorted(left, np.arange(n_ctrl))  # first sample of each interval
 
     # slow spectral-tilt wobble: smooth, band-correlated level variation
     if tilt_wobble > 0.0:
         slope = tilt_wobble * _smooth_noise(rng, total, _TILT_RATE_HZ, fs)
         log_freq = np.log(k * f0 / 1000.0)
-        flutter_tracks *= np.exp(np.outer(log_freq, slope))
 
+    # Each segment's flutter tracks, tilt factor and harmonic grid are built
+    # in place, in buffers of that segment's size, one flutter control
+    # interval at a time: whole-utterance (n_harm, total) grids fall out of
+    # cache. Every element gets the operations of the whole-grid form in the
+    # same order, and einsum's operand order fixes its products and its sum
+    # over k, so the samples keep their bits (tests/test_synth_oracle.py).
     voiced = np.zeros(total)
     window_cache = {}
     for seg, (start, end) in enumerate(zip(starts, bounds)):
         lo = max(0, start - fade // 2)
         hi = min(total, end + fade // 2)
+        length = hi - lo
         formants = order[seg]
         amps = _resonance_envelope(k * f0, formants, _SOURCE_TILT_HZ[gender])
-        chunk = np.cos(np.outer(k, phase[lo:hi]) + harmonic_phases[:, None])
-        segment = np.einsum("k,kl,kl->l", amps, flutter_tracks[:, lo:hi], chunk)
-        length = hi - lo
+        tracks = np.empty((n_harm, length))
+        work = np.empty((n_harm, length))
+        for j in range(left[lo], left[hi - 1] + 1):
+            a, b = max(ctrl_start[j], lo), min(ctrl_start[j + 1], hi)
+            np.multiply(coarse[:, j, None], rest[a:b], out=tracks[:, a - lo : b - lo])
+            np.multiply(coarse[:, j + 1, None], frac[a:b], out=work[:, a - lo : b - lo])
+        tracks += work
+        tracks *= flutter
+        tracks += 1.0
+        if tilt_wobble > 0.0:
+            np.multiply(log_freq[:, None], slope[lo:hi], out=work)
+            tracks *= np.exp(work, out=work)
+        chunk = np.multiply(k[:, None], phase[lo:hi], out=work)
+        chunk += harmonic_phases[:, None]
+        np.cos(chunk, out=chunk)
+        segment = np.einsum("k,kl,kl->l", amps, tracks, chunk)
         if length not in window_cache:
             ramp = np.ones(length)
             edge = np.minimum(fade, length // 2)
@@ -364,9 +383,9 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
     jitter. Utterance 0 is the train partition, the rest are test.
     """
     if n_speakers % 2 != 0:
-        raise ValueError(f"n_speakers must be even, got {n_speakers}")
+        raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
     if utterances_per_speaker < 2:
-        raise ValueError(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
+        raise InvalidConfig(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -302,7 +302,7 @@ def load_models(path) -> list[SpeakerModel]:
             _raise_first_bad_row(lines, i + 1, p)
         try:
             model = SpeakerModel(match.group(2), match.group(3), C, n_frames)
-        except InvalidModel as exc:
+        except (InvalidModel, DimensionMismatch) as exc:  # bad values, or P=0
             raise ParseError(str(exc), line=i + 1) from None
         models.append(model)
         i += 1 + p

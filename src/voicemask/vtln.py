@@ -157,12 +157,29 @@ def _source_positions(spec: WarpSpec, n_bins: int) -> np.ndarray:
 
 
 def _resample_frames(mag: np.ndarray, phase: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Linear interpolation of magnitude and unwrapped phase at ``pos``."""
+    """Linear interpolation of magnitude and unwrapped phase at ``pos``.
+
+    Computed in place; the bytes equal ``mag * np.exp(1j * phase)`` of the
+    interpolated parts, which ``test_vtln.py`` checks.
+    """
     idx = np.clip(pos.astype(np.intp), 0, mag.shape[-1] - 2)
     frac = pos - idx
-    out_mag = (1.0 - frac) * mag[..., idx] + frac * mag[..., idx + 1]
-    out_phase = (1.0 - frac) * phase[..., idx] + frac * phase[..., idx + 1]
-    return out_mag * np.exp(1j * out_phase)
+    rest = 1.0 - frac
+
+    def lerp(values):
+        out = np.take(values, idx, axis=-1)
+        out *= rest
+        upper = np.take(values, idx + 1, axis=-1)
+        upper *= frac
+        out += upper
+        return out
+
+    out_phase = lerp(phase)
+    out = np.empty(out_phase.shape, dtype=np.complex128)
+    np.cos(out_phase, out=out.real)
+    np.sin(out_phase, out=out.imag)
+    out *= lerp(mag)
+    return out
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,18 @@ class TestSynthAndMos:
                          "--out", str(tmp_path / "x"))
         assert code == 1
 
+    @pytest.mark.parametrize("speakers,utts,reason", [
+        ("3", "2", "n_speakers must be even, got 3"),
+        ("2", "1", "need at least 2 utterances per speaker, got 1"),
+    ])
+    def test_synth_bad_sizes_print_one_error_line(self, capsys, tmp_path, speakers, utts, reason):
+        out_dir = tmp_path / "x"
+        code, out, err = run(capsys, "synth", "--seed", "5", "--speakers", speakers,
+                             "--utts", utts, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {reason}\n"
+        assert not out_dir.exists()
+
     def test_mos_fixture(self, capsys, tmp_path):
         rows = ["listener_id,file_id,algorithm,degree,rating"]
         ratings = [4, 4, 4, 4, 4, 4, 4, 3, 3, 3]  # sums to 37

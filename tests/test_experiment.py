@@ -28,7 +28,13 @@ from voicemask import (
     vtln_transform,
     write_wav,
 )
-from voicemask.errors import EmptyInput, InvariantViolation, NoCrossover, ParseError
+from voicemask.errors import (
+    EmptyInput,
+    InvalidConfig,
+    InvariantViolation,
+    NoCrossover,
+    ParseError,
+)
 
 from helpers import SR, make_vowel
 
@@ -170,6 +176,12 @@ class TestSynthCorpus:
     def test_single_utterance_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             synth_corpus(1, 2, 1, tmp_path)
+
+    @pytest.mark.parametrize("n_speakers,utts", [(3, 2), (2, 1), (0, 0)])
+    def test_bad_sizes_are_invalid_config(self, tmp_path, n_speakers, utts):
+        with pytest.raises(InvalidConfig):
+            synth_corpus(1, n_speakers, utts, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_manifest_round_trip(self, tmp_path):
         manifest = synth_corpus(5, 2, 2, tmp_path)

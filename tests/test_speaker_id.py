@@ -305,9 +305,13 @@ class TestModelStore:
 
     def test_zero_order_store_is_a_toolkit_error(self, tmp_path):
         path = tmp_path / "p0.txt"
-        path.write_text("SPKMODEL v1 P=0 label=a gender=M frames=9\n")
-        with pytest.raises(VoicemaskError):
+        path.write_text(
+            "SPKMODEL v1 P=1 label=a gender=M frames=9\n2.0\n\n"
+            "SPKMODEL v1 P=0 label=b gender=F frames=9\n"
+        )
+        with pytest.raises(ParseError, match="non-empty") as caught:
             load_models(path)
+        assert caught.value.line == 4
 
     def test_asymmetric_store_names_the_header_line(self, tmp_path):
         path = tmp_path / "asym.txt"

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voicemask.vtln as vtln
 from voicemask import (
     AudioBuffer,
+    DegreeSchedule,
     StftConfig,
     WarpSpec,
     analyse_warp,
@@ -262,3 +264,34 @@ class TestAnalyseOnce:
         assert not analysis.phase.flags.writeable
         with pytest.raises(ValueError):
             analysis.phase[0, 0] = 0.0
+
+
+def straightforward_resample(mag, phase, pos):
+    """The interpolation ``_resample_frames`` computes in place, as one expression."""
+    idx = np.clip(pos.astype(np.intp), 0, mag.shape[-1] - 2)
+    frac = pos - idx
+    out_mag = (1.0 - frac) * mag[..., idx] + frac * mag[..., idx + 1]
+    out_phase = (1.0 - frac) * phase[..., idx] + frac * phase[..., idx + 1]
+    return out_mag * np.exp(1j * out_phase)
+
+
+class TestResampleFrames:
+    SWEEP_SPECS = [
+        WarpSpec(algo, DegreeSchedule(algo).parameter(degree, gender))
+        for algo in ("quadratic", "bilinear")
+        for gender in ("M", "F")
+        for degree in range(26)
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bytes_equal_straightforward_form(self, seed):
+        rng = np.random.default_rng(seed)
+        noise = AudioBuffer(0.2 * rng.standard_normal(SR // 2), SR)
+        for buf in (make_vowel(f0=100.0 + 60.0 * seed, seconds=0.5), noise):
+            analysis = analyse_warp(buf)
+            for spec in ANALYSIS_SPECS + self.SWEEP_SPECS:
+                pos = vtln._source_positions(spec, analysis.config.n_bins)
+                got = vtln._resample_frames(analysis.magnitude, analysis.phase, pos)
+                want = straightforward_resample(analysis.magnitude, analysis.phase, pos)
+                assert got.dtype == np.complex128
+                assert got.tobytes() == want.tobytes(), spec
