@@ -5,24 +5,17 @@ speaker and gender recognition, and an experiment harness that sweeps
 modification degrees and reports recognition curves.
 """
 
-from .errors import VoicemaskError
-from .experiment import (
+import importlib
+
+from .corpus import (
     ALGORITHMS,
     CorpusManifest,
     DegreeSchedule,
     ManifestEntry,
-    MosTable,
-    SweepResult,
-    SweepRow,
-    aggregate_mos,
-    emit_report,
-    enroll,
-    find_crossover,
     load_manifest,
-    load_sweep,
-    run_degree_sweep,
     synth_corpus,
 )
+from .errors import VoicemaskError
 from .phase_vocoder import (
     PhasePropagator,
     PitchAnalysis,
@@ -44,18 +37,6 @@ from .signal_core import (
     stft,
     write_wav,
 )
-from .speaker_id import (
-    FeatureConfig,
-    SpeakerModel,
-    classify_gender,
-    covariance_model,
-    extract_cepstra,
-    identify_speaker,
-    load_models,
-    save_models,
-    sphericity_distance,
-    train_gender_models,
-)
 from .vtln import (
     FAMILIES,
     WarpAnalysis,
@@ -66,6 +47,34 @@ from .vtln import (
     warp_analysed,
     warp_value,
 )
+
+# Names of the modules that import scipy, loaded on first access (PEP 562) so
+# that importing the package, or a transform-only command, does not load scipy.
+_LAZY = {
+    **dict.fromkeys(
+        ("MosTable", "SweepResult", "SweepRow", "aggregate_mos", "emit_report", "enroll",
+         "find_crossover", "load_sweep", "run_degree_sweep"),
+        "experiment",
+    ),
+    **dict.fromkeys(
+        ("FeatureConfig", "SpeakerModel", "classify_gender", "covariance_model",
+         "extract_cepstra", "identify_speaker", "load_models", "save_models",
+         "sphericity_distance", "train_gender_models"),
+        "speaker_id",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in ("experiment", "speaker_id"):
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -2,6 +2,10 @@
 
 Parseable results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 runtime error, 2 flag misuse.
+
+The commands that score speakers import ``experiment`` and ``speaker_id``
+(and with them scipy) in their handlers, so ``transform``, ``synth`` and
+``--help`` start without loading scipy.
 """
 
 from __future__ import annotations
@@ -10,30 +14,17 @@ import argparse
 import logging
 import sys
 
-from .errors import NoCrossover, VoicemaskError
-from .experiment import (
+from .corpus import (
     ALGORITHMS,
     MAX_DEGREE,
     PITCH_ALGORITHMS,
     DegreeSchedule,
-    aggregate_mos,
-    emit_report,
-    enroll,
-    find_crossover,
     load_manifest,
-    run_degree_sweep,
     synth_corpus,
 )
+from .errors import NoCrossover, VoicemaskError
 from .phase_vocoder import VARIANTS, PitchShiftSpec, pitch_shift
 from .signal_core import read_wav, write_wav
-from .speaker_id import (
-    classify_gender,
-    covariance_model,
-    extract_cepstra,
-    identify_speaker,
-    load_models,
-    save_models,
-)
 from .vtln import FAMILIES, WarpSpec, vtln_transform
 
 _TRANSFORM_ALGOS = PITCH_ALGORITHMS + FAMILIES
@@ -111,6 +102,9 @@ def _cmd_transform(parser, args) -> int:
 
 
 def _cmd_enroll(parser, args) -> int:
+    from .experiment import enroll
+    from .speaker_id import save_models
+
     speakers, male, female = enroll(load_manifest(args.manifest))
     save_models(args.models, speakers + [male, female])
     return 0
@@ -124,6 +118,8 @@ def _split_models(models):
 
 
 def _cmd_identify(parser, args) -> int:
+    from .speaker_id import covariance_model, extract_cepstra, identify_speaker, load_models
+
     speakers, _, _ = _split_models(load_models(args.models))
     if not speakers:
         print("error: model store has no speaker models", file=sys.stderr)
@@ -135,6 +131,8 @@ def _cmd_identify(parser, args) -> int:
 
 
 def _cmd_gender(parser, args) -> int:
+    from .speaker_id import classify_gender, covariance_model, extract_cepstra, load_models
+
     _, male, female = _split_models(load_models(args.models))
     if male is None or female is None:
         print("error: model store lacks a gender model", file=sys.stderr)
@@ -157,6 +155,8 @@ def _parse_degrees(parser, text: str):
 
 
 def _format_crossover(curve) -> str:
+    from .experiment import find_crossover
+
     try:
         return f"{find_crossover(curve):.1f}"
     except NoCrossover:
@@ -164,6 +164,8 @@ def _format_crossover(curve) -> str:
 
 
 def _cmd_sweep(parser, args) -> int:
+    from .experiment import emit_report, run_degree_sweep
+
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
     for algo in algos:
         if algo not in ALGORITHMS:
@@ -185,6 +187,8 @@ def _cmd_synth(parser, args) -> int:
 
 
 def _cmd_mos(parser, args) -> int:
+    from .experiment import aggregate_mos
+
     table = aggregate_mos(args.ratings)
     for algo, mean, count in table.scores:
         print(f"{algo} {mean:.4f} {count}")

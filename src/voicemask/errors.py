@@ -18,7 +18,7 @@ class UnsupportedEncoding(VoicemaskError):
 
 
 class InvalidConfig(VoicemaskError, ValueError):
-    """Analysis or feature configuration violates its constraints."""
+    """A configuration or call argument violates its constraints."""
 
 
 class EmptyPeakSet(VoicemaskError):

@@ -279,9 +279,7 @@ def stft(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> Spectrogram:
     n, hop = cfg.frame_len, cfg.hop
     if x.size < n:
         x = np.concatenate([x, np.zeros(n - x.size)])
-    n_frames = (x.size - n) // hop + 1
-    offsets = hop * np.arange(n_frames)
-    frames = x[offsets[:, None] + np.arange(n)[None, :]] * cfg.window_samples()
+    frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * cfg.window_samples()
     return Spectrogram(np.fft.rfft(frames, axis=1), cfg, buf.sample_rate)
 
 

@@ -185,7 +185,11 @@ def _sphericity(a: np.ndarray, b: np.ndarray, fa=None) -> float:
         fa = _cholesky(a)
     tr_ab = np.trace(_POTRS(_cholesky(b), a, lower=1)[0])
     tr_ba = np.trace(_POTRS(fa, b, lower=1)[0])
-    return float(np.log(tr_ab * tr_ba) - 2.0 * np.log(a.shape[0]))
+    product = tr_ab * tr_ba
+    # A nearly singular matrix can factor and still round this below zero.
+    if product <= 0.0:
+        raise NotPositiveDefinite(f"trace product {float(product):.6g} is not positive")
+    return float(np.log(product) - 2.0 * np.log(a.shape[0]))
 
 
 def sphericity_distance(c_test: np.ndarray, c_ref: np.ndarray) -> float:

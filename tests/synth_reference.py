@@ -1,6 +1,6 @@
 """Frozen whole-utterance synthetic renderer, kept as a test oracle.
 
-This is the straightforward form of ``experiment._render_utterance``: it
+This is the straightforward form of ``corpus._render_utterance``: it
 builds every harmonic's flutter track, with the spectral-tilt factor, for
 the whole utterance as one (n_harm, n_samples) matrix, then slices it per
 segment. The library builds each segment's tracks and harmonic grid in
@@ -10,7 +10,7 @@ require byte-equal samples and the same random draws from both.
 
 import numpy as np
 
-from voicemask.experiment import (
+from voicemask.corpus import (
     _AM_WOBBLE,
     _CROSSFADE_S,
     _MAX_HARMONIC_HZ,

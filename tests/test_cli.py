@@ -16,6 +16,7 @@ from voicemask import (
     write_wav,
 )
 from voicemask.cli import main
+from voicemask.errors import NotPositiveDefinite
 
 from helpers import SR, dominant_freq, make_tone
 
@@ -292,6 +293,37 @@ class TestEnrollIdentifyGender:
         )
         assert code == 1 and out == ""
         assert err == "error: 12-th leading minor of the array is not positive definite\n"
+
+    @pytest.mark.parametrize("command", ["identify", "gender"])
+    def test_trace_product_below_zero_is_runtime_error(self, capsys, corpus_dir, tmp_path,
+                                                       monkeypatch, command):
+        # An audio probe carries covariance_model's ridge, and against it no
+        # store matrix that factors was seen to round the trace product to
+        # zero or below. A singular probe against a multiple of itself does,
+        # for about 1 seed in 200, so the probe here is patched in.
+        import voicemask.speaker_id as speaker_id
+
+        for seed in range(2000):
+            a = np.random.default_rng(seed).standard_normal((12, 11))
+            singular = a @ a.T
+            try:
+                speaker_id.sphericity_distance(singular, 3.7 * singular)
+            except NotPositiveDefinite as exc:
+                if str(exc).startswith("trace product "):
+                    break
+        else:
+            pytest.fail("no singular matrix rounded its trace product below zero")
+        store = tmp_path / "multiples.txt"
+        save_models(store, [SpeakerModel(label, gender, 3.7 * singular, 100)
+                            for label, gender in (("spk00", "M"), ("M", "M"), ("F", "F"))])
+        monkeypatch.setattr(speaker_id, "covariance_model",
+                            lambda feats, label: SpeakerModel(label, "U", singular, len(feats)))
+        code, out, err = run(
+            capsys, command, "--models", str(store), "--in", str(corpus_dir / "spk00_u01.wav")
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: trace product ") and err.endswith(" is not positive\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["identify", "gender"])
     def test_store_of_another_order_is_runtime_error(self, capsys, corpus_dir, tmp_path, command):

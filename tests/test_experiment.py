@@ -433,6 +433,40 @@ class TestSweepContract:
             assert message == f"skipping {path}: speaker {bad.speaker_id} is not enrolled"
 
 
+class TestErrorContract:
+    """Bad arguments raise InvalidConfig, a toolkit error that is also a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: DegreeSchedule("mcadams"),
+            lambda: DegreeSchedule("voc").parameter(-1),
+            lambda: DegreeSchedule("quadratic").parameter(3, "U"),
+            lambda: tiny_result().curve("voc", "accuracy"),
+            lambda: run_degree_sweep(CorpusManifest(()), algorithms=("mcadams",)),
+            lambda: find_crossover([]),
+            lambda: find_crossover([(5, 1.0), (0, 0.4)]),
+        ],
+    )
+    def test_bad_arguments_are_invalid_config(self, call):
+        with pytest.raises(InvalidConfig):
+            call()
+
+    def test_empty_report_is_invalid_config(self, tmp_path):
+        with pytest.raises(InvalidConfig):
+            emit_report(SweepResult(()), tmp_path)
+
+    @pytest.mark.parametrize("degree", [-1, 26])
+    def test_sweep_checks_degrees_before_any_cell(self, tmp_path, caplog, degree):
+        # Checked up front: a bad degree raised inside a cell would be caught
+        # as a toolkit error and skipped, leaving a sweep without its cells.
+        manifest = synth_corpus(11, 2, 2, tmp_path)
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            with pytest.raises(InvalidConfig, match=f"got {degree}$"):
+                run_degree_sweep(manifest, algorithms=("voc",), degrees=(0, degree))
+        assert caplog.records == []
+
+
 class TestEnroll:
     def test_speakers_sorted_whatever_the_manifest_order(self, tmp_path):
         manifest = synth_corpus(11, 4, 2, tmp_path)

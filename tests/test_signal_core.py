@@ -319,6 +319,35 @@ class TestStft:
         assert abs(time_energy - spec_energy) / time_energy < 1e-6
 
 
+def gathered_stft(x, cfg):
+    """The STFT with its frames gathered by a 2-D fancy index, as stft once built them."""
+    n, hop = cfg.frame_len, cfg.hop
+    if x.size < n:
+        x = np.concatenate([x, np.zeros(n - x.size)])
+    offsets = hop * np.arange((x.size - n) // hop + 1)
+    frames = x[offsets[:, None] + np.arange(n)[None, :]] * cfg.window_samples()
+    return np.fft.rfft(frames, axis=1)
+
+
+class TestStftFraming:
+    """stft frames through a strided view; it must give the gathered frames' exact bits."""
+
+    @pytest.mark.parametrize("window", ["hann", "hamming", "rect"])
+    @pytest.mark.parametrize("hop", [1, 5, 16, 24, 63, 64])
+    @pytest.mark.parametrize("length", [10, 63, 64, 65, 127, 200, 1001])
+    def test_byte_equal_to_gathered_frames(self, window, hop, length):
+        cfg = StftConfig(frame_len=64, hop=hop, window=window)
+        x = np.random.default_rng([hop, length]).standard_normal(length)
+        got = stft(AudioBuffer(x, SR), cfg).frames
+        want = gathered_stft(x, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_default_config_on_a_tone(self):
+        buf = make_tone(440.0)
+        assert stft(buf).frames.tobytes() == gathered_stft(buf.samples, StftConfig()).tobytes()
+
+
 class TestIstft:
     def test_round_trip_snr(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,6 @@
 """Oracle tests for the synthetic-corpus renderer.
 
-``experiment._render_utterance`` builds each segment's flutter tracks and
+``corpus._render_utterance`` builds each segment's flutter tracks and
 harmonic grid in buffers of that segment's size. It must give byte-equal
 samples, and leave the generator in the same state, as the whole-utterance
 renderer frozen in ``synth_reference.py``; and ``synth_corpus`` must write
@@ -10,12 +10,12 @@ the same WAV bytes with either renderer.
 import numpy as np
 import pytest
 
-import voicemask.experiment as experiment
+import voicemask.corpus as corpus
 from voicemask import synth_corpus
 
 import synth_reference
 
-F0_RANGES = {"M": experiment._MALE_F0_RANGE, "F": experiment._FEMALE_F0_RANGE}
+F0_RANGES = {"M": corpus._MALE_F0_RANGE, "F": corpus._FEMALE_F0_RANGE}
 # (seed, gender, f0, jitter): jitter pins the speaker's flutter, tilt and
 # f0-wobble draws to one end of their range (-1 or +1), or draws it (None).
 CASES = [
@@ -46,17 +46,17 @@ def speaker_draw(seed, gender, f0, jitter):
         u = rng.uniform(-1.0, 1.0) if jitter is None else jitter
         return base * (1.0 + width * u)
 
-    wobble = spread(experiment._F0_WOBBLE[gender], experiment._SPEAKER_WOBBLE_JITTER)
-    flutter = spread(experiment._HARMONIC_FLUTTER[gender], experiment._SPEAKER_FLUTTER_JITTER)
-    tilt_wobble = spread(experiment._TILT_WOBBLE[gender], experiment._SPEAKER_TILT_JITTER)
-    noise_gain = 1.0 + experiment._SPEAKER_NOISE_JITTER[gender] * rng.uniform(-1.0, 1.0)
-    emphasis = 1.0 + experiment._SPEAKER_DURATION_JITTER * rng.uniform(
-        -1.0, 1.0, len(experiment._BASE_PROFILES)
+    wobble = spread(corpus._F0_WOBBLE[gender], corpus._SPEAKER_WOBBLE_JITTER)
+    flutter = spread(corpus._HARMONIC_FLUTTER[gender], corpus._SPEAKER_FLUTTER_JITTER)
+    tilt_wobble = spread(corpus._TILT_WOBBLE[gender], corpus._SPEAKER_TILT_JITTER)
+    noise_gain = 1.0 + corpus._SPEAKER_NOISE_JITTER[gender] * rng.uniform(-1.0, 1.0)
+    emphasis = 1.0 + corpus._SPEAKER_DURATION_JITTER * rng.uniform(
+        -1.0, 1.0, len(corpus._BASE_PROFILES)
     )
     profiles = [
         tuple((f * (1.0 + 0.1 * rng.standard_normal()), bw)
-              for f, bw in zip(base, experiment._RESONANCE_BW))
-        for base in experiment._BASE_PROFILES
+              for f, bw in zip(base, corpus._RESONANCE_BW))
+        for base in corpus._BASE_PROFILES
     ]
     args = (f0, profiles, gender, noise_gain, emphasis, wobble, flutter, tilt_wobble)
     return rng, args
@@ -73,7 +73,7 @@ def render_both(seed, args):
     """Both renderers on one argument set, each with a generator seeded alike."""
     rng_new = np.random.default_rng([seed, 1])
     rng_ref = np.random.default_rng([seed, 1])
-    new = experiment._render_utterance(rng_new, *args)
+    new = corpus._render_utterance(rng_new, *args)
     ref = synth_reference.render_utterance(rng_ref, *args)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     return new, ref
@@ -92,8 +92,17 @@ class TestRendererOracle:
 
     def test_corpus_wav_bytes_are_equal(self, tmp_path, monkeypatch):
         synth_corpus(7, 4, 2, tmp_path / "new")
-        monkeypatch.setattr(experiment, "_render_utterance", synth_reference.render_utterance)
+        calls = []
+
+        def reference(*args):
+            calls.append(args)
+            return synth_reference.render_utterance(*args)
+
+        # synth_corpus looks the renderer up in its own module; a patch that
+        # missed it would compare the library with itself.
+        monkeypatch.setattr(corpus, "_render_utterance", reference)
         synth_corpus(7, 4, 2, tmp_path / "ref")
+        assert len(calls) == 8
         names = sorted(p.name for p in (tmp_path / "new").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "ref").iterdir())
         assert len(names) == 9
