@@ -21,6 +21,10 @@ class InvalidConfig(VoicemaskError, ValueError):
     """A configuration or call argument violates its constraints."""
 
 
+class NonFiniteSignal(VoicemaskError, ValueError):
+    """Samples that are not finite, or too large to transform without overflow."""
+
+
 class EmptyPeakSet(VoicemaskError):
     """Region partitioning was asked to run on a frame with no peaks."""
 

@@ -17,11 +17,12 @@ one-frame case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyPeakSet, InvalidPeakSet
+from .errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet
 from .signal_core import (
     AudioBuffer,
     Spectrogram,
@@ -60,11 +61,11 @@ class PitchShiftSpec:
 
     def __post_init__(self):
         if not 0.25 <= self.ratio <= 4.0:
-            raise ValueError(f"ratio must be in [0.25, 4.0], got {self.ratio}")
+            raise InvalidConfig(f"ratio must be in [0.25, 4.0], got {self.ratio}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.neighbor_span not in (2, 4):
-            raise ValueError(f"neighbor_span must be 2 or 4, got {self.neighbor_span}")
+            raise InvalidConfig(f"neighbor_span must be 2 or 4, got {self.neighbor_span}")
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
@@ -80,7 +81,7 @@ def _peak_mask(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
     spectrum. Only interior bins with a complete neighborhood qualify.
     """
     if neighbor_span not in (2, 4):
-        raise ValueError(f"neighbor_span must be 2 or 4, got {neighbor_span}")
+        raise InvalidConfig(f"neighbor_span must be 2 or 4, got {neighbor_span}")
     n = mag.shape[-1]
     half = neighbor_span // 2
     is_peak = np.zeros(mag.shape, dtype=bool)
@@ -165,22 +166,22 @@ def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> 
     return omega + princarg(phase - prev_phase - hop * omega) / hop
 
 
-def _work_span(ratio: float, n: int) -> tuple[int, int]:
-    """Offset and length of a work frame that holds every translated bin.
+def _translation(ratio: float, n: int) -> tuple[np.ndarray, int, int]:
+    """Shift of a region peaking at each of n bins, and the work frame it needs.
 
-    Region shifts are monotone in the peak bin, so no region moves further
-    than one peaking at the top bin n-1: bins land in [-offset, length-offset).
+    A region peaking at bin p moves by round((ratio - 1) * p) bins. The work
+    frame holds every translated bin: shifts are monotone in the peak bin, so
+    no region moves further than one peaking at the top bin n-1, and bins
+    land in [-offset, size - offset). Returns (shifts, offset, size).
     """
-    edge = int(np.floor((ratio - 1.0) * (n - 1) + 0.5))
-    return max(0, -edge), n + abs(edge)
-
-
-def _bin_translation(partition: np.ndarray, ratio: float, slots: np.ndarray):
-    """Region shifts, region lengths and every bin's slot in the work frame."""
     # round-half-up keeps shifts deterministic at exact .5 boundaries
-    shifts = np.floor((ratio - 1.0) * partition[:, 0] + 0.5).astype(np.intp)
-    lengths = partition[:, 2] - partition[:, 1] + 1
-    return shifts, lengths, slots + np.repeat(shifts, lengths)
+    shifts = np.floor((ratio - 1.0) * np.arange(n) + 0.5).astype(np.intp)
+    edge = int(shifts[-1])
+    return shifts, max(0, -edge), n + abs(edge)
+
+
+def _region_lengths(regions: np.ndarray) -> np.ndarray:
+    return regions[:, 2] - regions[:, 1] + 1
 
 
 def _scatter(values: np.ndarray, targets: np.ndarray, offset: int, size: int) -> np.ndarray:
@@ -201,17 +202,35 @@ def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -
     landing on the same destination bin have their complex values summed.
     """
     bins = np.asarray(frame, dtype=np.complex128)
-    offset, size = _work_span(ratio, bins.size)
-    slots = np.arange(bins.size) + offset
-    _, _, targets = _bin_translation(np.asarray(partition, dtype=np.intp), ratio, slots)
-    return _scatter(bins, targets, offset, size)
+    partition = np.asarray(partition, dtype=np.intp)
+    shift_of, offset, size = _translation(ratio, bins.size)
+    shifts = shift_of[partition[:, 0]].repeat(_region_lengths(partition))
+    return _scatter(bins, np.arange(offset, offset + bins.size) + shifts, offset, size)
 
 
-# Live track destinations are kept between two sentinels, so a nearest-track
-# search never runs off either end; a sentinel is never within tolerance.
-_FAR = 1 << 40
-_BELOW, _ABOVE, _NO_ANGLE = np.array([-_FAR]), np.array([_FAR]), np.array([np.nan])
-_NO_TRACKS = np.array([-_FAR, _FAR]), np.array([np.nan, np.nan])
+class _Plan(NamedTuple):
+    """All that propagating some consecutive frames needs but their phases.
+
+    One entry per peak, frame after frame. ``sources`` is the row of the
+    peak's track in the previous frame's entries, -1 if it starts a new one.
+    ``increments`` is the track's rotation over the hop,
+    hop * (ratio - 1) * inst_freq[peak], or 0.0 for a new track. Both are
+    None for the loose variant, which uses neither, and ``increments`` also
+    for a first frame, which is not rotated.
+    """
+
+    shifts: np.ndarray
+    lengths: np.ndarray
+    dests: np.ndarray
+    sources: np.ndarray | None
+    increments: np.ndarray | None
+
+
+# Far-off sentinels bound the tracks, so a nearest-track search never runs
+# off either end; a sentinel is never within tolerance.
+_FAR = 1 << 60
+# No tracks: no destinations, and only the 0.0 angle that new tracks read.
+_NO_DESTS, _NO_ANGLES = np.empty(0, dtype=np.intp), np.array([0.0])
 
 
 class PhasePropagator:
@@ -227,46 +246,80 @@ class PhasePropagator:
         self.spec = spec
         self.hop = cfg.hop
         self.omega = bin_frequencies(cfg.n_bins)
-        self._offset, self._work_size = _work_span(spec.ratio, cfg.n_bins)
+        self._shift_of, self._offset, self._work_size = _translation(spec.ratio, cfg.n_bins)
         self._slots = np.arange(cfg.n_bins) + self._offset
         self._peak_step = self.hop * (spec.ratio - 1.0)
         self._bin_step = self.hop * spec.ratio
         self._free_advance = self._bin_step * self.omega
         self._prev_analysis_phase = None
         self._started = False
+        # The plan of every frame to come, if _plan_cell made one, and the
+        # row of the next frame's first peak in it.
+        self._cell, self._next_row = None, 0
         # Synthesis phases of the last frame, or None while they are still to
         # be taken from _synth_frame, the last scattered output; only a later
         # peak-free or loose frame reads them.
         self._synth_phase = None
         self._synth_frame = None
-        self._set_tracks(*_NO_TRACKS)
+        # The last frame's destination and angle of each peak; the angles
+        # end in the 0.0 that new tracks (source -1) read.
+        self._dests, self._angles = _NO_DESTS, _NO_ANGLES
 
     @property
     def track_angles(self) -> dict[int, float]:
         """Accumulated rotation angle per live track, keyed by destination bin."""
-        dests, angles = self._known_dests[1:-1], self._known_angles[1:-1]
-        return {int(d): float(a) for d, a in zip(dests, angles)}
+        # Of equal destinations the last peak's track lives, as in a dict.
+        return {int(d): float(a) for d, a in zip(self._dests, self._angles[:-1])}
 
-    def _match_tracks(self, dests: np.ndarray):
-        """Previous-track angle for each destination, NaN where unmatched."""
-        # Track i is nearest (ties to the lower bin) to every d with
-        # sum[i-1] < 2d <= sum[i], where sum[i] adds tracks i and i+1.
-        nearest = self._pair_sums.searchsorted(dests + dests)
-        dist = np.abs(self._known_dests[nearest] - dests)
-        return np.where(dist <= _TRACK_MATCH_TOLERANCE, self._known_angles[nearest], np.nan)
+    def _plan(self, regions, lengths, peak_freq, offsets) -> _Plan:
+        """Plan consecutive frames for all their peaks at once.
 
-    def _set_tracks(self, known_dests: np.ndarray, known_angles: np.ndarray) -> None:
-        self._known_dests, self._known_angles = known_dests, known_angles
-        self._pair_sums = known_dests[:-1] + known_dests[1:]
+        ``regions`` holds the frames' (peak, lo, hi) rows, frame t's at
+        ``offsets[t]:offsets[t + 1]``, and ``peak_freq`` the instantaneous
+        frequency at each peak. The first frame follows the stored tracks.
+        """
+        peaks = regions[:, 0]
+        shifts = self._shift_of[peaks]
+        dests = peaks + shifts
+        if self.spec.variant != "identity-locked":
+            return _Plan(shifts, lengths, dests, None, None)
+        sources = self._match(dests, np.asarray(offsets))
+        if peak_freq is None:  # a first frame, which is not rotated
+            return _Plan(shifts, lengths, dests, sources, None)
+        increments = np.where(sources < 0, 0.0, self._peak_step * peak_freq)
+        return _Plan(shifts, lengths, dests, sources, increments)
 
-    def _store_tracks(self, dests: np.ndarray, angles: np.ndarray) -> None:
-        # dests come in peak order and are already sorted (see README)
-        known = np.concatenate((_BELOW, dests, _ABOVE))
-        last = known[1:-1] != known[2:]
-        if np.count_nonzero(last) < last.size:  # duplicates: keep the last of each
-            dests, angles = dests[last], angles[last]
-            known = np.concatenate((_BELOW, dests, _ABOVE))
-        self._set_tracks(known, np.concatenate((_NO_ANGLE, angles, _NO_ANGLE)))
+    def _match(self, dests: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Row of each peak's nearest kept track in the previous frame, -1 if none.
+
+        Of equal destinations in a frame only the last peak's track is kept.
+        Frame t's destinations are keyed t * stride + dest, the stored tracks
+        as frame -1, so the keys ascend (see README) and keys of two frames
+        lie further apart than the tolerance: one search serves all frames.
+        """
+        stride = self._work_size + _TRACK_MATCH_TOLERANCE + 1
+        prev = self._dests
+        frame = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        keys = np.concatenate((prev - stride, dests + stride * frame))
+        kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
+        known = np.concatenate(([-_FAR], keys[kept] + stride, [_FAR]))
+        query = keys[prev.size :]
+        # Track i is nearest (ties to the lower bin) to every q with
+        # sum[i-1] < 2q <= sum[i], where sum[i] adds tracks i and i+1.
+        nearest = (known[:-1] + known[1:]).searchsorted(query + query)
+        found = np.abs(known[nearest] - query) <= _TRACK_MATCH_TOLERANCE
+        # Frame t's predecessor starts at key prev.size + offsets[t - 1].
+        first = np.concatenate(([0], prev.size + offsets[:-2]))[frame]
+        return np.where(found, np.concatenate(([0], kept, [0]))[nearest] - first, -1)
+
+    def _plan_cell(self, analysis: PitchAnalysis) -> None:
+        """Plan every frame of an analysis; advance() then walks the plan."""
+        self._cell = self._plan(
+            analysis.regions, analysis.lengths, analysis.peak_freq, analysis.offsets
+        )
+
+    def _keep_tracks(self, dests: np.ndarray, angles: np.ndarray) -> None:
+        self._dests, self._angles = dests, np.concatenate((angles, _NO_ANGLES))
 
     def _last_synth_phase(self) -> np.ndarray:
         if self._synth_phase is None:
@@ -303,25 +356,29 @@ class PhasePropagator:
                 self._synth_phase = np.angle(frame)
                 return frame
             theta = self._last_synth_phase() + self._free_advance
-            self._set_tracks(*_NO_TRACKS)
+            self._dests, self._angles = _NO_DESTS, _NO_ANGLES
             self._synth_phase = theta
             return np.abs(frame) * np.exp(1j * theta)
 
-        partition = np.asarray(partition, dtype=np.intp)
-        shifts, lengths, targets = _bin_translation(partition, self.spec.ratio, self._slots)
-        peaks = partition[:, 0]
-        dests = peaks + shifts
+        if self._cell is None:  # plan this frame on its own
+            partition = np.asarray(partition, dtype=np.intp)
+            peak_freq = None if inst_freq is None else inst_freq[partition[:, 0]]
+            lengths = _region_lengths(partition)
+            plan, rows = self._plan(partition, lengths, peak_freq, [0, len(partition)]), slice(None)
+        else:
+            plan, rows = self._cell, slice(self._next_row, self._next_row + len(partition))
+            self._next_row = rows.stop
+        lengths, dests = plan.lengths[rows], plan.dests[rows]
+        targets = self._slots + plan.shifts[rows].repeat(lengths)
         offset, size = self._offset, self._work_size
 
         if not started:
-            self._store_tracks(dests, np.zeros(dests.size))
+            self._keep_tracks(dests, np.zeros(dests.size))
             return self._defer_phase(_scatter(frame, targets, offset, size))
         if self.spec.variant == "identity-locked":
-            prev_angles = self._match_tracks(dests)
-            increments = self._peak_step * inst_freq[peaks]
-            angles = np.where(np.isnan(prev_angles), 0.0, prev_angles + increments)
-            rotation = np.repeat(np.exp(1j * angles), lengths)
-            self._store_tracks(dests, angles)
+            angles = self._angles[plan.sources[rows]] + plan.increments[rows]
+            rotation = np.exp(1j * angles).repeat(lengths)
+            self._keep_tracks(dests, angles)
             return self._defer_phase(_scatter(frame * rotation, targets, offset, size))
         shifted = _scatter(frame, targets, offset, size)
         target = np.empty(size)
@@ -329,7 +386,7 @@ class PhasePropagator:
         spectrum[:] = inst_freq
         target[targets] = inst_freq  # region order: later regions win collisions
         theta = self._last_synth_phase() + self._bin_step * spectrum
-        self._set_tracks(*_NO_TRACKS)
+        self._dests, self._angles = _NO_DESTS, _NO_ANGLES
         self._synth_phase = theta
         return np.abs(shifted) * np.exp(1j * theta)
 
@@ -341,22 +398,36 @@ class PitchAnalysis:
     ``frames`` are the STFT frames. Row t of ``inst_freq`` is the per-bin
     instantaneous frequency of frame t, measured from the phase advance
     since frame t-1; row 0 has no predecessor and holds the bin centres.
-    ``partitions`` holds each frame's regions of influence, or None for a
-    peak-free frame, found with ``neighbor_span``. All arrays are read-only.
+    ``regions`` holds every frame's regions of influence as (peak, lo, hi)
+    rows, found with ``neighbor_span``, frame t's at rows
+    ``offsets[t]:offsets[t + 1]``; ``lengths`` and ``peak_freq`` hold each
+    region's length and the instantaneous frequency at its peak.
+    ``partitions[t]`` is frame t's rows as a view, or None for a peak-free
+    frame. All arrays are read-only.
     """
 
     frames: np.ndarray
     inst_freq: np.ndarray
-    partitions: tuple
+    regions: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    peak_freq: np.ndarray
     neighbor_span: int
     config: StftConfig
     sample_rate: int
     n_samples: int
 
+    partitions: tuple = field(init=False)
+
     def __post_init__(self):
-        for array in (self.frames, self.inst_freq, *self.partitions):
-            if array is not None:
-                array.setflags(write=False)
+        arrays = (self.frames, self.inst_freq, self.regions, self.offsets, self.lengths)
+        for array in (*arrays, self.peak_freq):
+            array.setflags(write=False)
+        bounds = self.offsets.tolist()
+        partitions = tuple(
+            self.regions[a:b] if b > a else None for a, b in zip(bounds[:-1], bounds[1:])
+        )
+        object.__setattr__(self, "partitions", partitions)
 
 
 def analyse_pitch(
@@ -366,29 +437,38 @@ def analyse_pitch(
     frames = stft(buf, cfg).frames
     mag = np.abs(frames)
     is_peak = _peak_mask(mag, neighbor_span)
-    # Copies, not views: each frame owns its rows, as when frames were
-    # partitioned one at a time.
-    partitions = tuple(
-        rows.copy() if rows.size else None
-        for rows in np.split(_partition(mag, is_peak), np.cumsum(is_peak.sum(axis=1))[:-1])
-    )
+    regions = _partition(mag, is_peak)
+    offsets = np.concatenate(([0], np.cumsum(is_peak.sum(axis=1))))
     phase = np.angle(frames)
     inst_freq = np.empty_like(phase)
     inst_freq[0] = bin_frequencies(cfg.n_bins)
     inst_freq[1:] = _instantaneous_freq(phase[1:], phase[:-1], cfg.hop)
     return PitchAnalysis(
-        frames, inst_freq, partitions, neighbor_span, cfg, buf.sample_rate, len(buf)
+        frames,
+        inst_freq,
+        regions,
+        offsets,
+        _region_lengths(regions),
+        inst_freq[is_peak],  # row-major, the order of the regions
+        neighbor_span,
+        cfg,
+        buf.sample_rate,
+        len(buf),
     )
 
 
 def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer:
-    """Shift the pitch of an analysed buffer by spec.ratio; duration is preserved."""
+    """Shift the pitch of an analysed buffer by spec.ratio; duration is preserved.
+
+    The whole buffer is planned at once; advance() then runs once per frame.
+    """
     if spec.neighbor_span != analysis.neighbor_span:
-        raise ValueError(
+        raise InvalidConfig(
             f"analysis found peaks with neighbor_span {analysis.neighbor_span}, "
             f"spec asks for {spec.neighbor_span}"
         )
     prop = PhasePropagator(spec, analysis.config)
+    prop._plan_cell(analysis)
     out_frames = np.empty_like(analysis.frames)
     for t, partition in enumerate(analysis.partitions):
         out_frames[t] = prop.advance(analysis.frames[t], partition, analysis.inst_freq[t])

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoFailure, MalformedWav, ParseError, UnsupportedEncoding
+from .errors import (
+    InvalidConfig,
+    IoFailure,
+    MalformedWav,
+    NonFiniteSignal,
+    ParseError,
+    UnsupportedEncoding,
+)
 
 __all__ = [
     "AudioBuffer",
@@ -46,7 +53,7 @@ class AudioBuffer:
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if samples.size and not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
+            raise NonFiniteSignal("samples must be finite")
         rate = int(self.sample_rate)
         if rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -273,10 +280,19 @@ def stft(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> Spectrogram:
     """Analyze a buffer into windowed half-spectrum frames.
 
     Frame t covers samples [t*hop, t*hop + frame_len); a buffer shorter than
-    one frame is zero-padded to a single frame.
+    one frame is zero-padded to a single frame. Samples above
+    max_float / (4 * frame_len**2), about 4e301 for 1024-sample frames, raise
+    NonFiniteSignal: their spectrum, or a transform's inverse of it, would
+    overflow.
     """
     x = buf.samples
     n, hop = cfg.frame_len, cfg.hop
+    # A bin sums n samples and the inverse FFT of a modified frame up to all
+    # its bins, so sums stay below n**2 times the largest sample; the 4
+    # leaves room for magnitudes and complex products.
+    peak = max(x.max(), -x.min()) if x.size else 0.0
+    if peak > np.finfo(np.float64).max / (4.0 * n * n):
+        raise NonFiniteSignal(f"samples up to {peak:.3g} would overflow a {n}-sample transform")
     if x.size < n:
         x = np.concatenate([x, np.zeros(n - x.size)])
     frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * cfg.window_samples()

@@ -16,7 +16,7 @@ from voicemask import (
     shift_coefficients,
     stft,
 )
-from voicemask.errors import EmptyPeakSet, InvalidPeakSet, VoicemaskError
+from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
 from voicemask.phase_vocoder import princarg
 
 from helpers import SR, band_log_distortion, dominant_freq, interior_snr_db, make_tone, make_vowel
@@ -314,3 +314,57 @@ class TestAnalyseOnce:
         assert analysis.neighbor_span == 4
         with pytest.raises(ValueError):
             shift_analysed(analysis, PitchShiftSpec(1.2))
+
+    def test_partitions_are_views_of_the_flat_regions(self):
+        analysis = analyse_pitch(voiced_with_gap())
+        offsets = analysis.offsets.tolist()
+        assert len(offsets) == len(analysis.partitions) + 1 == len(analysis.frames) + 1
+        for t, partition in enumerate(analysis.partitions):
+            rows = analysis.regions[offsets[t] : offsets[t + 1]]
+            if partition is None:
+                assert rows.size == 0
+            else:
+                assert np.shares_memory(partition, analysis.regions)
+                assert np.array_equal(partition, rows)
+                peaks = partition[:, 0]
+                assert np.array_equal(analysis.peak_freq[offsets[t] : offsets[t + 1]],
+                                      analysis.inst_freq[t, peaks])
+        assert np.array_equal(analysis.lengths, analysis.regions[:, 2] - analysis.regions[:, 1] + 1)
+        for array in (analysis.regions, analysis.offsets, analysis.lengths, analysis.peak_freq):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_advance_runs_once_per_frame(self, monkeypatch, variant):
+        calls = []
+        advance = PhasePropagator.advance
+
+        def counted(self, *args):
+            calls.append(args[1] is None)
+            return advance(self, *args)
+
+        monkeypatch.setattr(PhasePropagator, "advance", counted)
+        analysis = analyse_pitch(voiced_with_gap())
+        shift_analysed(analysis, PitchShiftSpec(0.8, variant=variant))
+        assert len(calls) == analysis.frames.shape[0]
+        assert calls == [p is None for p in analysis.partitions]
+
+
+class TestErrorContract:
+    """Bad arguments raise InvalidConfig, a toolkit error that is also a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PitchShiftSpec(5.0),
+            lambda: PitchShiftSpec(1.0, variant="rigid"),
+            lambda: PitchShiftSpec(1.0, neighbor_span=3),
+            lambda: detect_peaks(np.ones(8, dtype=complex), 3),
+            lambda: shift_analysed(analyse_pitch(make_vowel(seconds=0.1), neighbor_span=4),
+                                   PitchShiftSpec(1.2)),
+        ],
+        ids=["ratio", "variant", "span", "peak span", "analysis span"],
+    )
+    def test_bad_arguments_are_invalid_config(self, call):
+        with pytest.raises(InvalidConfig) as caught:
+            call()
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)

@@ -11,6 +11,7 @@ from voicemask.errors import (
     InvalidConfig,
     IoFailure,
     MalformedWav,
+    NonFiniteSignal,
     UnsupportedEncoding,
     VoicemaskError,
 )
@@ -45,6 +46,12 @@ class TestAudioBuffer:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([0.0, np.nan]), SR)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_non_finite_signal(self, bad):
+        with pytest.raises(NonFiniteSignal) as caught:
+            AudioBuffer(np.array([0.0, bad]), SR)
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -273,6 +280,23 @@ class TestStft:
     def test_short_signal_zero_padded(self):
         sg = stft(AudioBuffer(np.ones(100), SR))
         assert sg.n_frames == 1
+
+    @pytest.mark.parametrize("cfg", [StftConfig(frame_len=64, hop=16), StftConfig()])
+    def test_samples_too_large_to_transform(self, cfg):
+        # Up to max_float / (4 * frame_len**2) the spectrum, and any inverse
+        # of a modified one, stays finite; above it stft raises.
+        limit = np.finfo(np.float64).max / (4.0 * cfg.frame_len**2)
+        x = np.full(3 * cfg.frame_len, limit)
+        assert np.all(np.isfinite(stft(AudioBuffer(x, SR), cfg).frames))
+        x[-1] = -np.nextafter(limit, np.inf)
+        with pytest.raises(NonFiniteSignal) as caught:
+            stft(AudioBuffer(x, SR), cfg)
+        assert isinstance(caught.value, ValueError)
+
+    def test_overflowing_spectrum_is_non_finite_signal(self):
+        # Samples of 1.7e308 used to overflow the FFT to inf.
+        with pytest.raises(NonFiniteSignal):
+            stft(AudioBuffer(np.full(4096, 1.7e308), SR))
 
     def test_impulse_matches_analytic_dft(self):
         # Windowed impulse at sample n0: bin k must equal w[n0] * exp(-2i pi k n0 / N).
