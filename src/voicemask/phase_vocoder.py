@@ -12,13 +12,14 @@ alone, not on the ratio, so ``analyse_pitch`` computes them once per buffer
 and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
 ``analyse_pitch`` finds the peaks and regions of all frames in one pass over
 the frame stack; ``detect_peaks`` and ``regions_of_influence`` are its
-one-frame case.
+one-frame case. A ``PhasePropagator`` is built from the analysis it
+propagates and plans all its frames at once; each ``advance()`` then
+produces the next synthesis frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,12 +161,6 @@ def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return _partition(mag[None], is_peak[None])
 
 
-def _instantaneous_freq(phase: np.ndarray, prev_phase: np.ndarray, hop: int) -> np.ndarray:
-    """Per-bin frequency from the phase advance over one hop (frames along the last axis)."""
-    omega = bin_frequencies(phase.shape[-1])
-    return omega + princarg(phase - prev_phase - hop * omega) / hop
-
-
 def _translation(ratio: float, n: int) -> tuple[np.ndarray, int, int]:
     """Shift of a region peaking at each of n bins, and the work frame it needs.
 
@@ -208,24 +203,6 @@ def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -
     return _scatter(bins, np.arange(offset, offset + bins.size) + shifts, offset, size)
 
 
-class _Plan(NamedTuple):
-    """All that propagating some consecutive frames needs but their phases.
-
-    One entry per peak, frame after frame. ``sources`` is the row of the
-    peak's track in the previous frame's entries, -1 if it starts a new one.
-    ``increments`` is the track's rotation over the hop,
-    hop * (ratio - 1) * inst_freq[peak], or 0.0 for a new track. Both are
-    None for the loose variant, which uses neither, and ``increments`` also
-    for a first frame, which is not rotated.
-    """
-
-    shifts: np.ndarray
-    lengths: np.ndarray
-    dests: np.ndarray
-    sources: np.ndarray | None
-    increments: np.ndarray | None
-
-
 # Far-off sentinels bound the tracks, so a nearest-track search never runs
 # off either end; a sentinel is never within tolerance.
 _FAR = 1 << 60
@@ -234,28 +211,42 @@ _NO_DESTS, _NO_ANGLES = np.empty(0, dtype=np.intp), np.array([0.0])
 
 
 class PhasePropagator:
-    """Per-utterance phase state; call advance() once per frame in time order.
+    """Phase state of one analysed buffer; call advance() once per frame.
 
-    Tracks are keyed by destination peak bin and matched frame-to-frame by
-    nearest destination-bin distance within a 4-bin tolerance (ties to the
-    lower bin); unmatched new peaks start from the analysis phase of the
-    current frame.
+    The constructor plans every frame of the analysis at once: each peak's
+    region shift and destination and, for identity locking, the track it
+    continues and that track's rotation over the hop. Tracks are keyed by
+    destination peak bin and matched frame-to-frame by nearest
+    destination-bin distance within a 4-bin tolerance (ties to the lower
+    bin); unmatched new peaks start from the analysis phase of their frame.
     """
 
-    def __init__(self, spec: PitchShiftSpec, cfg: StftConfig):
-        self.spec = spec
-        self.hop = cfg.hop
-        self.omega = bin_frequencies(cfg.n_bins)
-        self._shift_of, self._offset, self._work_size = _translation(spec.ratio, cfg.n_bins)
-        self._slots = np.arange(cfg.n_bins) + self._offset
-        self._peak_step = self.hop * (spec.ratio - 1.0)
-        self._bin_step = self.hop * spec.ratio
-        self._free_advance = self._bin_step * self.omega
-        self._prev_analysis_phase = None
-        self._started = False
-        # The plan of every frame to come, if _plan_cell made one, and the
-        # row of the next frame's first peak in it.
-        self._cell, self._next_row = None, 0
+    def __init__(self, spec: PitchShiftSpec, analysis: PitchAnalysis):
+        if spec.neighbor_span != analysis.neighbor_span:
+            raise InvalidConfig(
+                f"analysis found peaks with neighbor_span {analysis.neighbor_span}, "
+                f"spec asks for {spec.neighbor_span}"
+            )
+        self.spec, self.analysis = spec, analysis
+        n_bins, hop = analysis.config.n_bins, analysis.config.hop
+        shift_of, self._offset, self._work_size = _translation(spec.ratio, n_bins)
+        self._slots = np.arange(n_bins) + self._offset
+        self._bin_step = hop * spec.ratio
+        self._free_advance = self._bin_step * bin_frequencies(n_bins)
+        self._bounds = analysis.offsets.tolist()
+        # The plan: one entry per peak, frame after frame. ``_sources`` is the
+        # row of the peak's track in the previous frame's entries, -1 if it
+        # starts a new one; ``_increments`` is the track's rotation over the
+        # hop, or 0.0 for a new track. The loose variant uses neither.
+        peaks = analysis.regions[:, 0]
+        self._shifts = shift_of[peaks]
+        self._peak_dests = peaks + self._shifts
+        if spec.variant == "identity-locked":
+            self._sources = self._match(self._peak_dests, analysis.offsets)
+            self._increments = np.where(
+                self._sources < 0, 0.0, hop * (spec.ratio - 1.0) * analysis.peak_freq
+            )
+        self._t = 0  # the next frame
         # Synthesis phases of the last frame, or None while they are still to
         # be taken from _synth_frame, the last scattered output; only a later
         # peak-free or loose frame reads them.
@@ -271,52 +262,26 @@ class PhasePropagator:
         # Of equal destinations the last peak's track lives, as in a dict.
         return {int(d): float(a) for d, a in zip(self._dests, self._angles[:-1])}
 
-    def _plan(self, regions, lengths, peak_freq, offsets) -> _Plan:
-        """Plan consecutive frames for all their peaks at once.
-
-        ``regions`` holds the frames' (peak, lo, hi) rows, frame t's at
-        ``offsets[t]:offsets[t + 1]``, and ``peak_freq`` the instantaneous
-        frequency at each peak. The first frame follows the stored tracks.
-        """
-        peaks = regions[:, 0]
-        shifts = self._shift_of[peaks]
-        dests = peaks + shifts
-        if self.spec.variant != "identity-locked":
-            return _Plan(shifts, lengths, dests, None, None)
-        sources = self._match(dests, np.asarray(offsets))
-        if peak_freq is None:  # a first frame, which is not rotated
-            return _Plan(shifts, lengths, dests, sources, None)
-        increments = np.where(sources < 0, 0.0, self._peak_step * peak_freq)
-        return _Plan(shifts, lengths, dests, sources, increments)
-
     def _match(self, dests: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Row of each peak's nearest kept track in the previous frame, -1 if none.
 
         Of equal destinations in a frame only the last peak's track is kept.
-        Frame t's destinations are keyed t * stride + dest, the stored tracks
-        as frame -1, so the keys ascend (see README) and keys of two frames
-        lie further apart than the tolerance: one search serves all frames.
+        Frame t's destinations are keyed t * stride + dest, so the keys ascend
+        (see README) and keys of two frames lie further apart than the
+        tolerance: one search serves all frames.
         """
         stride = self._work_size + _TRACK_MATCH_TOLERANCE + 1
-        prev = self._dests
         frame = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        keys = np.concatenate((prev - stride, dests + stride * frame))
+        keys = dests + stride * frame
         kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
         known = np.concatenate(([-_FAR], keys[kept] + stride, [_FAR]))
-        query = keys[prev.size :]
         # Track i is nearest (ties to the lower bin) to every q with
         # sum[i-1] < 2q <= sum[i], where sum[i] adds tracks i and i+1.
-        nearest = (known[:-1] + known[1:]).searchsorted(query + query)
-        found = np.abs(known[nearest] - query) <= _TRACK_MATCH_TOLERANCE
-        # Frame t's predecessor starts at key prev.size + offsets[t - 1].
-        first = np.concatenate(([0], prev.size + offsets[:-2]))[frame]
+        nearest = (known[:-1] + known[1:]).searchsorted(keys + keys)
+        found = np.abs(known[nearest] - keys) <= _TRACK_MATCH_TOLERANCE
+        # Frame t's predecessor starts at row offsets[t - 1].
+        first = np.concatenate(([0], offsets[:-2]))[frame]
         return np.where(found, np.concatenate(([0], kept, [0]))[nearest] - first, -1)
-
-    def _plan_cell(self, analysis: PitchAnalysis) -> None:
-        """Plan every frame of an analysis; advance() then walks the plan."""
-        self._cell = self._plan(
-            analysis.regions, analysis.lengths, analysis.peak_freq, analysis.offsets
-        )
 
     def _keep_tracks(self, dests: np.ndarray, angles: np.ndarray) -> None:
         self._dests, self._angles = dests, np.concatenate((angles, _NO_ANGLES))
@@ -331,55 +296,39 @@ class PhasePropagator:
         self._synth_phase, self._synth_frame = None, out
         return out.copy()
 
-    def advance(
-        self, frame: np.ndarray, partition: np.ndarray | None, inst_freq: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Produce the synthesis frame for one analysis frame.
+    def advance(self) -> np.ndarray:
+        """Produce the synthesis frame of the next analysis frame.
 
-        ``partition`` is None for unvoiced (peak-free) frames, which pass
-        through unshifted with phases advanced by hop * ratio * omega.
-        ``inst_freq`` is the frame's per-bin instantaneous frequency, as a
-        PitchAnalysis holds it; when None it is measured from the phase
-        advance since the previous frame. Give it for every frame or none.
+        Peak-free frames pass through unshifted with phases advanced by
+        hop * ratio * omega.
         """
-        frame = np.asarray(frame, dtype=np.complex128)
-        if inst_freq is None:
-            phase = np.angle(frame)
-            if self._prev_analysis_phase is not None:
-                inst_freq = _instantaneous_freq(phase, self._prev_analysis_phase, self.hop)
-            self._prev_analysis_phase = phase
-        started, self._started = self._started, True
+        t = self._t
+        frame, lo, hi = self.analysis.frames[t], self._bounds[t], self._bounds[t + 1]
+        self._t = t + 1
 
         # On the first frame, synthesis phases equal analysis phases.
-        if partition is None:
-            if not started:
+        if lo == hi:
+            if t == 0:
                 self._synth_phase = np.angle(frame)
-                return frame
+                return frame.copy()
             theta = self._last_synth_phase() + self._free_advance
             self._dests, self._angles = _NO_DESTS, _NO_ANGLES
             self._synth_phase = theta
             return np.abs(frame) * np.exp(1j * theta)
 
-        if self._cell is None:  # plan this frame on its own
-            partition = np.asarray(partition, dtype=np.intp)
-            peak_freq = None if inst_freq is None else inst_freq[partition[:, 0]]
-            lengths = _region_lengths(partition)
-            plan, rows = self._plan(partition, lengths, peak_freq, [0, len(partition)]), slice(None)
-        else:
-            plan, rows = self._cell, slice(self._next_row, self._next_row + len(partition))
-            self._next_row = rows.stop
-        lengths, dests = plan.lengths[rows], plan.dests[rows]
-        targets = self._slots + plan.shifts[rows].repeat(lengths)
+        lengths, dests = self.analysis.lengths[lo:hi], self._peak_dests[lo:hi]
+        targets = self._slots + self._shifts[lo:hi].repeat(lengths)
         offset, size = self._offset, self._work_size
 
-        if not started:
+        if t == 0:
             self._keep_tracks(dests, np.zeros(dests.size))
             return self._defer_phase(_scatter(frame, targets, offset, size))
         if self.spec.variant == "identity-locked":
-            angles = self._angles[plan.sources[rows]] + plan.increments[rows]
+            angles = self._angles[self._sources[lo:hi]] + self._increments[lo:hi]
             rotation = np.exp(1j * angles).repeat(lengths)
             self._keep_tracks(dests, angles)
             return self._defer_phase(_scatter(frame * rotation, targets, offset, size))
+        inst_freq = self.analysis.inst_freq[t]
         shifted = _scatter(frame, targets, offset, size)
         target = np.empty(size)
         spectrum = target[offset : offset + frame.size]
@@ -439,10 +388,10 @@ def analyse_pitch(
     is_peak = _peak_mask(mag, neighbor_span)
     regions = _partition(mag, is_peak)
     offsets = np.concatenate(([0], np.cumsum(is_peak.sum(axis=1))))
-    phase = np.angle(frames)
+    phase, omega = np.angle(frames), bin_frequencies(cfg.n_bins)
     inst_freq = np.empty_like(phase)
-    inst_freq[0] = bin_frequencies(cfg.n_bins)
-    inst_freq[1:] = _instantaneous_freq(phase[1:], phase[:-1], cfg.hop)
+    inst_freq[0] = omega
+    inst_freq[1:] = omega + princarg(phase[1:] - phase[:-1] - cfg.hop * omega) / cfg.hop
     return PitchAnalysis(
         frames,
         inst_freq,
@@ -462,16 +411,10 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
 
     The whole buffer is planned at once; advance() then runs once per frame.
     """
-    if spec.neighbor_span != analysis.neighbor_span:
-        raise InvalidConfig(
-            f"analysis found peaks with neighbor_span {analysis.neighbor_span}, "
-            f"spec asks for {spec.neighbor_span}"
-        )
-    prop = PhasePropagator(spec, analysis.config)
-    prop._plan_cell(analysis)
+    prop = PhasePropagator(spec, analysis)
     out_frames = np.empty_like(analysis.frames)
-    for t, partition in enumerate(analysis.partitions):
-        out_frames[t] = prop.advance(analysis.frames[t], partition, analysis.inst_freq[t])
+    for t in range(len(out_frames)):
+        out_frames[t] = prop.advance()
     spectrogram = Spectrogram(out_frames, analysis.config, analysis.sample_rate)
     return resynthesize(spectrogram, analysis.n_samples)
 

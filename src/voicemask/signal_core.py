@@ -51,12 +51,12 @@ class AudioBuffer:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64).copy()
         if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
+            raise InvalidConfig("samples must be one-dimensional")
         if samples.size and not np.all(np.isfinite(samples)):
             raise NonFiniteSignal("samples must be finite")
         rate = int(self.sample_rate)
         if rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise InvalidConfig("sample_rate must be positive")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)
@@ -116,7 +116,7 @@ class Spectrogram:
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         if frames.ndim != 2:
-            raise ValueError("frames must be a 2-D array")
+            raise InvalidConfig("frames must be a 2-D array")
         if frames.shape[1] != self.config.n_bins:
             raise InvalidConfig(
                 f"frames have {frames.shape[1]} bins, config implies {self.config.n_bins}"

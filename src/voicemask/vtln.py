@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, NotInvertible
+from .errors import InvalidAlpha, InvalidConfig, NotInvertible
 from .signal_core import AudioBuffer, Spectrogram, StftConfig, bin_frequencies, resynthesize, stft
 
 __all__ = [
@@ -60,16 +60,10 @@ class WarpSpec:
                 raise InvalidAlpha(f"bilinear warp requires |alpha| < 1, got {a}")
         object.__setattr__(self, "alpha", a)
 
-    @property
-    def is_identity(self) -> bool:
-        if self.family in ("quadratic", "bilinear"):
-            return self.alpha == 0.0
-        return self.alpha == 1.0
-
 
 def _check_range(omega: np.ndarray, name: str) -> None:
     if omega.size and (omega.min() < -1e-12 or omega.max() > np.pi + 1e-12):
-        raise ValueError(f"{name} must lie in [0, pi]")
+        raise InvalidConfig(f"{name} must lie in [0, pi]")
 
 
 def _break_frequency(spec: WarpSpec) -> float:

@@ -1,9 +1,9 @@
-"""Ratchet on the error contract: library code raises no new bare ValueError.
+"""Ratchet on the error contract: library code raises no bare ValueError.
 
-Every bad input should fail as a ``VoicemaskError`` subclass; the CLI's
-catch-all still lists ``ValueError`` only for the sites below. A new
-``raise ValueError`` anywhere in ``src/voicemask`` fails this test, and so
-does a listed site that is gone, so the list can only shrink.
+Every bad input fails as a ``VoicemaskError`` subclass; where a bare
+``ValueError`` used to be raised, the subclass also derives from
+``ValueError``. The allowlist below is empty, so any ``raise ValueError``
+in ``src/voicemask`` fails this test.
 """
 
 import ast
@@ -13,13 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "voicemask"
 
 # (module, enclosing function) -> number of bare ``raise ValueError`` in it.
-ALLOWED = Counter(
-    {
-        ("signal_core.py", "AudioBuffer.__post_init__"): 2,  # not 1-D, bad rate
-        ("signal_core.py", "Spectrogram.__post_init__"): 1,  # not 2-D
-        ("vtln.py", "_check_range"): 1,  # frequencies outside [0, pi]
-    }
-)
+ALLOWED = Counter()
 
 
 def _raises_value_error(node: ast.Raise) -> bool:

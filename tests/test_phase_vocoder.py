@@ -5,16 +5,13 @@ from voicemask import (
     AudioBuffer,
     PhasePropagator,
     PitchShiftSpec,
-    Spectrogram,
     StftConfig,
     analyse_pitch,
     detect_peaks,
     pitch_shift,
     regions_of_influence,
-    resynthesize,
     shift_analysed,
     shift_coefficients,
-    stft,
 )
 from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
 from voicemask.phase_vocoder import princarg
@@ -164,23 +161,17 @@ class TestShiftCoefficients:
 
 class TestPhasePropagation:
     def test_first_frame_keeps_analysis_phases(self):
-        cfg = StftConfig()
-        sg = stft(make_vowel(seconds=0.5), cfg)
-        prop = PhasePropagator(PitchShiftSpec(1.25), cfg)
-        frame = sg.frames[0]
-        partition = regions_of_influence(frame, detect_peaks(frame, 2))
-        out = prop.advance(frame, partition)
+        analysis = analyse_pitch(make_vowel(seconds=0.5))
+        out = PhasePropagator(PitchShiftSpec(1.25), analysis).advance()
+        frame, partition = analysis.frames[0], analysis.partitions[0]
         np.testing.assert_allclose(out, shift_coefficients(frame, partition, 1.25), atol=1e-12)
 
     def test_ratio_one_output_equals_analysis(self):
-        cfg = StftConfig()
-        sg = stft(make_vowel(seconds=0.5), cfg)
+        analysis = analyse_pitch(make_vowel(seconds=0.5))
         for variant in ("identity-locked", "loose"):
-            prop = PhasePropagator(PitchShiftSpec(1.0, variant=variant), cfg)
-            for frame in sg.frames:
-                peaks = detect_peaks(frame, 2)
-                partition = regions_of_influence(frame, peaks) if peaks.size else None
-                out = prop.advance(frame, partition)
+            prop = PhasePropagator(PitchShiftSpec(1.0, variant=variant), analysis)
+            for frame in analysis.frames:
+                out = prop.advance()
                 np.testing.assert_allclose(
                     np.abs(out) * np.exp(1j * np.angle(out)),
                     np.abs(frame) * np.exp(1j * np.angle(frame)),
@@ -193,12 +184,12 @@ class TestPhasePropagation:
         k = 40
         omega_c = 2.0 * np.pi * k / cfg.frame_len
         ratio = 1.5
-        sg = stft(make_tone(k * SR / cfg.frame_len, seconds=0.5), cfg)
-        prop = PhasePropagator(PitchShiftSpec(ratio), cfg)
+        analysis = analyse_pitch(make_tone(k * SR / cfg.frame_len, seconds=0.5), cfg)
+        assert all(p is not None for p in analysis.partitions)
+        prop = PhasePropagator(PitchShiftSpec(ratio), analysis)
         angles = []
-        for frame in sg.frames:
-            partition = regions_of_influence(frame, detect_peaks(frame, 2))
-            prop.advance(frame, partition)
+        for _ in analysis.frames:
+            prop.advance()
             dest = k + int(np.floor((ratio - 1.0) * k + 0.5))
             angles.append(prop.track_angles[dest])
         increments = np.diff(angles[1:])  # first frame seeds the track at zero
@@ -293,27 +284,13 @@ class TestAnalyseOnce:
         with pytest.raises(ValueError):
             analysis.frames[0, 0] = 0.0
 
-    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
-    def test_analysed_path_equals_per_frame_advance(self, variant):
-        # advance() without inst_freq measures it from consecutive phases;
-        # the analysis precomputes it, and both must give the same bytes.
-        buf = voiced_with_gap()
-        cfg = StftConfig()
-        spec = PitchShiftSpec(1.3, variant=variant)
-        sg = stft(buf, cfg)
-        prop = PhasePropagator(spec, cfg)
-        out = np.empty_like(sg.frames)
-        for t, frame in enumerate(sg.frames):
-            peaks = detect_peaks(frame, 2)
-            out[t] = prop.advance(frame, regions_of_influence(frame, peaks) if peaks.size else None)
-        expected = resynthesize(Spectrogram(out, cfg, SR), len(buf))
-        assert pitch_shift(buf, spec, cfg).samples.tobytes() == expected.samples.tobytes()
-
     def test_neighbor_span_must_match(self):
         analysis = analyse_pitch(make_vowel(seconds=0.3), neighbor_span=4)
         assert analysis.neighbor_span == 4
         with pytest.raises(ValueError):
             shift_analysed(analysis, PitchShiftSpec(1.2))
+        with pytest.raises(ValueError):
+            PhasePropagator(PitchShiftSpec(1.2), analysis)
 
     def test_partitions_are_views_of_the_flat_regions(self):
         analysis = analyse_pitch(voiced_with_gap())
@@ -338,15 +315,14 @@ class TestAnalyseOnce:
         calls = []
         advance = PhasePropagator.advance
 
-        def counted(self, *args):
-            calls.append(args[1] is None)
-            return advance(self, *args)
+        def counted(self):
+            calls.append(self)
+            return advance(self)
 
         monkeypatch.setattr(PhasePropagator, "advance", counted)
         analysis = analyse_pitch(voiced_with_gap())
         shift_analysed(analysis, PitchShiftSpec(0.8, variant=variant))
         assert len(calls) == analysis.frames.shape[0]
-        assert calls == [p is None for p in analysis.partitions]
 
 
 class TestErrorContract:

@@ -1,11 +1,12 @@
 """Property tests for the pitch and warp transforms.
 
-``PhasePropagator.advance``, frame by frame, and ``shift_analysed``, which
-plans a whole buffer first, must reproduce byte for byte the frames and
-track angles of the straightforward propagator frozen in
-``phase_reference.py``; and every transform maps a finite buffer to a
-finite buffer of the same length and sample rate, or raises NonFiniteSignal
-for samples too large to transform.
+``PhasePropagator.advance``, frame by frame over a given analysis, and
+``shift_analysed`` must reproduce byte for byte the frames and track angles
+of the straightforward propagator frozen in ``phase_reference.py``, which
+takes one frame at a time and can measure the instantaneous frequency
+itself; and every transform maps a finite buffer to a finite buffer of the
+same length and sample rate, or raises NonFiniteSignal for samples too large
+to transform.
 """
 
 import warnings
@@ -33,6 +34,7 @@ from voicemask.errors import NonFiniteSignal
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import phase_reference
+from helpers import pitch_analysis
 
 # 33 bins make shifts off both ends and colliding regions common; 513 is the
 # toolkit's default frame.
@@ -73,13 +75,20 @@ class TestPropagatorOracle:
     )
     def test_advance_matches_reference_bytes(self, sequence, ratio, variant, give_inst_freq):
         cfg, span, frames, partitions, inst_freqs = sequence
+        if not give_inst_freq:
+            # Measured up front, as analyse_pitch does: row 0 holds the bin
+            # centres. The reference measures it frame by frame instead.
+            phase = np.angle(frames)
+            inst_freqs = [phase_reference.bin_frequencies(cfg.n_bins)] + [
+                phase_reference.instantaneous_freq(phase[t], phase[t - 1], cfg.hop)
+                for t in range(1, len(frames))
+            ]
         spec = PitchShiftSpec(ratio, variant, span)
-        prop = PhasePropagator(spec, cfg)
+        prop = PhasePropagator(spec, pitch_analysis(frames, partitions, inst_freqs, cfg, span))
         reference = phase_reference.ReferencePropagator(spec, cfg)
         for frame, partition, inst_freq in zip(frames, partitions, inst_freqs):
-            inst_freq = inst_freq if give_inst_freq else None
-            got = prop.advance(frame, partition, inst_freq)
-            want = reference.advance(frame, partition, inst_freq)
+            got = prop.advance()
+            want = reference.advance(frame, partition, inst_freq if give_inst_freq else None)
             assert got.tobytes() == want.tobytes()
             assert angle_bytes(prop) == angle_bytes(reference)
             if partition is not None:
@@ -94,11 +103,11 @@ class TestPropagatorOracle:
         rng = np.random.default_rng(2)
         frames = [rng.random(cfg.n_bins) + 0j for _ in range(3)]
         partition = regions_of_influence(frames[0], detect_peaks(frames[0]))
-        spec = PitchShiftSpec(1.5)
-        clean, edited = PhasePropagator(spec, cfg), PhasePropagator(spec, cfg)
-        clean.advance(frames[0], partition)
-        edited.advance(frames[0], partition)[:] = 0.0
-        assert clean.advance(frames[1], None).tobytes() == edited.advance(frames[1], None).tobytes()
+        analysis = pitch_analysis(frames, [partition, None, None], np.zeros((3, cfg.n_bins)), cfg)
+        clean, edited = (PhasePropagator(PitchShiftSpec(1.5), analysis) for _ in range(2))
+        clean.advance()
+        edited.advance()[:] = 0.0
+        assert clean.advance().tobytes() == edited.advance().tobytes()
 
 
 @st.composite
@@ -128,14 +137,17 @@ class TestPlannedPathOracle:
         span=st.sampled_from([2, 4]),
         ratio=RATIOS,
         variant=st.sampled_from(["identity-locked", "loose"]),
+        measure=st.booleans(),
     )
-    def test_shift_analysed_matches_reference_bytes(self, case, span, ratio, variant):
+    def test_shift_analysed_matches_reference_bytes(self, case, span, ratio, variant, measure):
+        # With measure, the reference takes the instantaneous frequency from
+        # consecutive phases itself rather than from the analysis.
         cfg, buf = case
         analysis = analyse_pitch(buf, cfg, span)
         spec = PitchShiftSpec(ratio, variant, span)
         reference = phase_reference.ReferencePropagator(spec, cfg)
         frames = np.array([
-            reference.advance(frame, partition, inst_freq)
+            reference.advance(frame, partition, None if measure else inst_freq)
             for frame, partition, inst_freq in zip(
                 analysis.frames, analysis.partitions, analysis.inst_freq
             )

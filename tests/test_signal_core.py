@@ -65,6 +65,20 @@ class TestAudioBuffer:
     def test_empty_allowed(self):
         assert len(AudioBuffer(np.zeros(0), SR)) == 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: AudioBuffer(np.zeros((2, 4)), SR),
+            lambda: AudioBuffer(np.zeros(4), 0),
+            lambda: Spectrogram(np.zeros(StftConfig().n_bins, dtype=complex), StftConfig(), SR),
+        ],
+        ids=["samples not 1-D", "bad rate", "frames not 2-D"],
+    )
+    def test_bad_shapes_and_rates_are_invalid_config(self, call):
+        with pytest.raises(InvalidConfig) as caught:
+            call()
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
 
 class TestStftConfig:
     def test_defaults_satisfy_cola(self):

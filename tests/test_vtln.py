@@ -17,7 +17,7 @@ from voicemask import (
     warp_analysed,
     warp_value,
 )
-from voicemask.errors import InvalidAlpha, NotInvertible
+from voicemask.errors import InvalidAlpha, InvalidConfig, NotInvertible, VoicemaskError
 
 from helpers import SR, dominant_freq, interior_snr_db, make_tone, make_vowel
 
@@ -71,6 +71,12 @@ class TestWarpSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(InvalidAlpha):
             WarpSpec("mel", 1.0)
+
+    @pytest.mark.parametrize("call", [warp_value, invert_warp])
+    def test_frequency_outside_zero_to_pi_is_invalid_config(self, call):
+        with pytest.raises(InvalidConfig) as caught:
+            call(WarpSpec("power", 0.6), np.array([0.5, 4.0]))
+        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
 
 
 class TestHandValues:
