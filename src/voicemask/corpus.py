@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import signal_core
-from .errors import InvalidConfig, InvariantViolation, ParseError, VoicemaskError
+from .errors import InvalidConfig, InvariantViolation, IoFailure, ParseError, VoicemaskError
 from .phase_vocoder import PitchAnalysis, PitchShiftSpec, analyse_pitch, shift_analysed
 from .signal_core import AudioBuffer, read_text
 from .vtln import WarpAnalysis, WarpSpec, analyse_warp, warp_analysed
@@ -346,14 +346,18 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
 
     Speakers alternate male/female; each gets a fixed fundamental drawn from
     its gender's range, per-speaker formant offsets, and small per-utterance
-    jitter. Utterance 0 is the train partition, the rest are test.
+    jitter. Utterance 0 is the train partition, the rest are test. A
+    directory or file that cannot be written is IoFailure.
     """
     if n_speakers % 2 != 0:
         raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
     if utterances_per_speaker < 2:
         raise InvalidConfig(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
     rng = np.random.default_rng(seed)
     entries = []
     mean_profile = np.mean(_BASE_PROFILES, axis=0)
@@ -400,11 +404,15 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
             partition = "train" if u == 0 else "test"
             entries.append(ManifestEntry(out_dir / name, speaker, gender, partition))
 
-    with open(out_dir / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_MANIFEST_HEADER)
-        for e in entries:
-            writer.writerow([e.path.name, e.speaker_id, e.gender, e.partition])
+    manifest = out_dir / "manifest.csv"
+    try:
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_MANIFEST_HEADER)
+            for e in entries:
+                writer.writerow([e.path.name, e.speaker_id, e.gender, e.partition])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {manifest}: {exc}") from exc
     return CorpusManifest(tuple(entries))
 
 

@@ -31,6 +31,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     InvariantViolation,
+    IoFailure,
     NoCrossover,
     ParseError,
     VoicemaskError,
@@ -280,27 +281,33 @@ def aggregate_mos(ratings_path) -> MosTable:
 
 
 def emit_report(result: SweepResult, out_dir) -> None:
-    """Write sweep.csv (authoritative) plus one SVG chart per algorithm."""
+    """Write sweep.csv (authoritative) plus one SVG chart per algorithm.
+
+    A directory or file that cannot be written is IoFailure.
+    """
     if not result.rows:
         raise InvalidConfig("empty sweep result")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SWEEP_HEADER)
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.algorithm,
-                    row.gender,
-                    row.degree,
-                    f"{row.gender_success_rate:.6f}",
-                    f"{row.identification_rate:.6f}",
-                    row.n_files,
-                ]
-            )
-    for algo in sorted({r.algorithm for r in result.rows}):
-        (out_dir / f"sweep_{algo}.svg").write_text(_render_chart(result, algo))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "sweep.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_SWEEP_HEADER)
+            for row in result.rows:
+                writer.writerow(
+                    [
+                        row.algorithm,
+                        row.gender,
+                        row.degree,
+                        f"{row.gender_success_rate:.6f}",
+                        f"{row.identification_rate:.6f}",
+                        row.n_files,
+                    ]
+                )
+        for algo in sorted({r.algorithm for r in result.rows}):
+            (out_dir / f"sweep_{algo}.svg").write_text(_render_chart(result, algo))
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
 
 
 def load_sweep(path) -> SweepResult:

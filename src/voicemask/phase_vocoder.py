@@ -14,7 +14,7 @@ and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
 the frame stack; ``detect_peaks`` and ``regions_of_influence`` are its
 one-frame case. A ``PhasePropagator`` is built from the analysis it
 propagates and plans all its frames at once; each ``advance()`` then
-produces the next synthesis frame.
+returns the next synthesis frame, rendered with its block of frames.
 """
 
 from __future__ import annotations
@@ -179,17 +179,6 @@ def _region_lengths(regions: np.ndarray) -> np.ndarray:
     return regions[:, 2] - regions[:, 1] + 1
 
 
-def _scatter(values: np.ndarray, targets: np.ndarray, offset: int, size: int) -> np.ndarray:
-    """Sum translated bin values into a work frame and return its spectrum part.
-
-    Colliding regions add up in region order; bins beyond the spectrum land in
-    the margins of the work frame and are dropped with them.
-    """
-    work = np.zeros(size, dtype=np.complex128)
-    np.add.at(work, targets, values)
-    return work[offset : offset + values.size]
-
-
 def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -> np.ndarray:
     """Translate each region by round((ratio-1) * peak) bins.
 
@@ -200,25 +189,31 @@ def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -
     partition = np.asarray(partition, dtype=np.intp)
     shift_of, offset, size = _translation(ratio, bins.size)
     shifts = shift_of[partition[:, 0]].repeat(_region_lengths(partition))
-    return _scatter(bins, np.arange(offset, offset + bins.size) + shifts, offset, size)
+    # Colliding regions add up in region order; bins beyond the spectrum land
+    # in the margins of the work frame and are dropped with them.
+    work = np.zeros(size, dtype=np.complex128)
+    np.add.at(work, np.arange(offset, offset + bins.size) + shifts, bins)
+    return work[offset : offset + bins.size]
 
 
 # Far-off sentinels bound the tracks, so a nearest-track search never runs
 # off either end; a sentinel is never within tolerance.
 _FAR = 1 << 60
-# No tracks: no destinations, and only the 0.0 angle that new tracks read.
-_NO_DESTS, _NO_ANGLES = np.empty(0, dtype=np.intp), np.array([0.0])
+# Frames rendered at once: a block's complex values (32 x 513 x 16 bytes for
+# the default frame) stay in cache; larger blocks spill it and run slower.
+_BLOCK_FRAMES = 32
 
 
 class PhasePropagator:
     """Phase state of one analysed buffer; call advance() once per frame.
 
     The constructor plans every frame of the analysis at once: each peak's
-    region shift and destination and, for identity locking, the track it
-    continues and that track's rotation over the hop. Tracks are keyed by
-    destination peak bin and matched frame-to-frame by nearest
-    destination-bin distance within a 4-bin tolerance (ties to the lower
-    bin); unmatched new peaks start from the analysis phase of their frame.
+    region shift and destination and, for identity locking, its track's
+    accumulated rotation angle. Tracks are keyed by destination peak bin and
+    matched frame-to-frame by nearest destination-bin distance within a
+    4-bin tolerance (ties to the lower bin); unmatched new peaks start from
+    the analysis phase of their frame. ``advance`` renders the frames in
+    blocks of ``_BLOCK_FRAMES``.
     """
 
     def __init__(self, spec: PitchShiftSpec, analysis: PitchAnalysis):
@@ -228,41 +223,60 @@ class PhasePropagator:
                 f"spec asks for {spec.neighbor_span}"
             )
         self.spec, self.analysis = spec, analysis
+        self._locked = spec.variant == "identity-locked"
         n_bins, hop = analysis.config.n_bins, analysis.config.hop
         shift_of, self._offset, self._work_size = _translation(spec.ratio, n_bins)
         self._slots = np.arange(n_bins) + self._offset
         self._bin_step = hop * spec.ratio
         self._free_advance = self._bin_step * bin_frequencies(n_bins)
         self._bounds = analysis.offsets.tolist()
-        # The plan: one entry per peak, frame after frame. ``_sources`` is the
-        # row of the peak's track in the previous frame's entries, -1 if it
-        # starts a new one; ``_increments`` is the track's rotation over the
-        # hop, or 0.0 for a new track. The loose variant uses neither.
+        # The plan: one entry per peak, frame after frame.
         peaks = analysis.regions[:, 0]
         self._shifts = shift_of[peaks]
         self._peak_dests = peaks + self._shifts
-        if spec.variant == "identity-locked":
-            self._sources = self._match(self._peak_dests, analysis.offsets)
-            self._increments = np.where(
-                self._sources < 0, 0.0, hop * (spec.ratio - 1.0) * analysis.peak_freq
-            )
-        self._t = 0  # the next frame
-        # Synthesis phases of the last frame, or None while they are still to
-        # be taken from _synth_frame, the last scattered output; only a later
-        # peak-free or loose frame reads them.
-        self._synth_phase = None
-        self._synth_frame = None
-        # The last frame's destination and angle of each peak; the angles
-        # end in the 0.0 that new tracks (source -1) read.
-        self._dests, self._angles = _NO_DESTS, _NO_ANGLES
+        if self._locked:
+            self._angles = self._accumulate_angles(hop * (spec.ratio - 1.0))
+        else:  # the loose variant keeps only frame 0's tracks, at angle 0
+            self._angles = np.zeros(self._bounds[1])
+        # Frames _start:_stop are rendered in _rows; _t is the next to return.
+        self._t = self._start = self._stop = 0
+        self._rows = None
+        # Synthesis phases of frame _stop - 1, or None to take them from its
+        # rendered row; only a later peak-free or loose frame reads them.
+        self._phase = None
 
     @property
     def track_angles(self) -> dict[int, float]:
-        """Accumulated rotation angle per live track, keyed by destination bin."""
-        # Of equal destinations the last peak's track lives, as in a dict.
-        return {int(d): float(a) for d, a in zip(self._dests, self._angles[:-1])}
+        """Accumulated rotation angle per live track, keyed by destination bin.
 
-    def _match(self, dests: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        The live tracks are the last frame's peaks; the loose variant keeps
+        only frame 0's.
+        """
+        t = self._t - 1
+        if t < 0 or (t > 0 and not self._locked):
+            return {}
+        lo, hi = self._bounds[t], self._bounds[t + 1]
+        # Of equal destinations the last peak's track lives, as in a dict.
+        return {int(d): float(a) for d, a in zip(self._peak_dests[lo:hi], self._angles[lo:hi])}
+
+    def _accumulate_angles(self, step: float) -> np.ndarray:
+        """Each peak's track angle: its source's angle plus the rotation over the hop.
+
+        The recurrence is the only dependency between frames, so it runs
+        first, one gather and add per frame. A new track (source -1) reads
+        the trailing 0.0 and adds 0.0, so it starts from the analysis phase.
+        """
+        sources = self._match()
+        increments = step * self.analysis.peak_freq
+        increments[sources < 0] = 0.0
+        angles = np.zeros(sources.size + 1)
+        bounds = self._bounds
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                np.add(angles.take(sources[lo:hi]), increments[lo:hi], out=angles[lo:hi])
+        return angles
+
+    def _match(self) -> np.ndarray:
         """Row of each peak's nearest kept track in the previous frame, -1 if none.
 
         Of equal destinations in a frame only the last peak's track is kept.
@@ -270,31 +284,107 @@ class PhasePropagator:
         (see README) and keys of two frames lie further apart than the
         tolerance: one search serves all frames.
         """
+        offsets = self.analysis.offsets
         stride = self._work_size + _TRACK_MATCH_TOLERANCE + 1
-        frame = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        keys = dests + stride * frame
+        keys = np.repeat(np.arange(offsets.size - 1) * stride, np.diff(offsets))
+        keys += self._peak_dests
         kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
-        known = np.concatenate(([-_FAR], keys[kept] + stride, [_FAR]))
+        # The tracks as keys of the next frame, bounded by the sentinels.
+        known = np.empty(kept.size + 2, dtype=np.intp)
+        known[0], known[-1] = -_FAR, _FAR
+        np.add(keys[kept], stride, out=known[1:-1])
         # Track i is nearest (ties to the lower bin) to every q with
-        # sum[i-1] < 2q <= sum[i], where sum[i] adds tracks i and i+1.
-        nearest = (known[:-1] + known[1:]).searchsorted(keys + keys)
-        found = np.abs(known[nearest] - keys) <= _TRACK_MATCH_TOLERANCE
-        # Frame t's predecessor starts at row offsets[t - 1].
-        first = np.concatenate(([0], offsets[:-2]))[frame]
-        return np.where(found, np.concatenate(([0], kept, [0]))[nearest] - first, -1)
+        # half[i-1] < q <= half[i], where half[i] = floor((track i + track i+1) / 2).
+        half = known[:-1] + known[1:]
+        half >>= 1
+        nearest = half.searchsorted(keys)
+        del half
+        far = known.take(nearest)
+        far -= keys
+        far = np.abs(far, out=far) > _TRACK_MATCH_TOLERANCE
+        del keys, known
+        sources = np.take(np.concatenate(([0], kept, [0])), nearest, out=nearest)
+        sources[far] = -1
+        return sources
 
-    def _keep_tracks(self, dests: np.ndarray, angles: np.ndarray) -> None:
-        self._dests, self._angles = dests, np.concatenate((angles, _NO_ANGLES))
+    def _render(self) -> None:
+        """Render the next block of frames into _rows.
 
-    def _last_synth_phase(self) -> np.ndarray:
-        if self._synth_phase is None:
-            self._synth_phase = np.angle(self._synth_frame)
-        return self._synth_phase
-
-    def _defer_phase(self, out: np.ndarray) -> np.ndarray:
-        """Keep a scattered output to take its phases from later; return a copy."""
-        self._synth_phase, self._synth_frame = None, out
-        return out.copy()
+        The voiced frames' regions are rotated (identity locking) and
+        scattered at once; the peak-free frames follow in order. Every
+        complex product keeps the operand order of the one-frame form (frame
+        x rotation, magnitude x exp): numpy's multiply is not commutative to
+        the last bit, and its temporary elision swaps the operands of arrays
+        above 256 KiB (README).
+        """
+        a = self.analysis
+        start = self._stop
+        stop = min(start + _BLOCK_FRAMES, len(a.frames))
+        lo, hi = self._bounds[start], self._bounds[stop]
+        n, offset, size = a.config.n_bins, self._offset, self._work_size
+        frames = a.frames[start:stop]
+        peak_free = np.diff(a.offsets[start : stop + 1]) == 0
+        voiced = np.flatnonzero(~peak_free)
+        # The phases carried from the last block, which is then let go.
+        carried = None
+        if start and (peak_free[0] or not self._locked):
+            carried = np.angle(self._rows[-1]) if self._phase is None else self._phase
+        self._rows = None
+        work = np.zeros((stop - start, size), dtype=np.complex128)
+        rows = work[:, offset : offset + n]
+        if voiced.size:
+            lengths = a.lengths[lo:hi]
+            values = frames[voiced].reshape(-1)
+            if self._locked:
+                # Frame 0's tracks have angle 0; a rotation by exactly 1 changes
+                # at most the sign of a zero, which the sum into +0 drops.
+                rotation = np.exp(1j * self._angles[lo:hi]).repeat(lengths)
+                np.multiply(values, rotation, out=values)
+            # Each bin goes to row * size + slot + its region's shift; bins
+            # beyond the spectrum land in the margins of their work row, and
+            # colliding regions add up in region order.
+            targets = self._shifts[lo:hi].repeat(lengths).reshape(voiced.size, n)
+            targets += self._slots
+            targets += (voiced * size)[:, None]
+            targets = targets.reshape(-1)
+            np.add.at(work.reshape(-1), targets, values)
+        # Frame 0's synthesis phases are those of its output: the analysis
+        # phases, or (voiced) those of its unrotated scatter.
+        first = int(start == 0)
+        if first and peak_free[0]:
+            rows[0] = frames[0]
+        if self._locked:
+            # A peak-free frame advances the previous frame's phases, taken
+            # from its output unless it was peak-free too.
+            phase, at = carried, -1
+            for i in np.flatnonzero(peak_free[first:]) + first:
+                if at != i - 1:
+                    phase = np.angle(rows[i - 1])
+                phase = phase + self._free_advance
+                np.multiply(np.abs(frames[i]), np.exp(1j * phase), out=rows[i])
+                at = i
+            self._phase = phase if at == len(rows) - 1 else None
+        elif len(rows) > first:
+            # Loose: every frame after frame 0 advances the previous phases
+            # by hop * ratio times its target frequencies.
+            target = np.empty((stop - start, size))
+            theta = target[:, offset : offset + n]
+            theta[...] = a.inst_freq[start:stop]
+            if voiced.size:
+                # Region order: later regions win collisions.
+                target.reshape(-1)[targets] = a.inst_freq[start + voiced].reshape(-1)
+            theta *= self._bin_step
+            theta[peak_free] = self._free_advance
+            theta = theta[first:]
+            theta[0] += np.angle(rows[0]) if first else carried
+            np.cumsum(theta, axis=0, out=theta)
+            magnitude = np.abs(rows[first:])
+            magnitude[peak_free[first:]] = np.abs(frames[first:][peak_free[first:]])
+            rotation = np.multiply(1j, theta)
+            np.exp(rotation, out=rotation)
+            np.multiply(magnitude, rotation, out=rows[first:])
+            self._phase = theta[-1].copy()
+        self._start, self._stop, self._rows = start, stop, rows
 
     def advance(self) -> np.ndarray:
         """Produce the synthesis frame of the next analysis frame.
@@ -303,41 +393,12 @@ class PhasePropagator:
         hop * ratio * omega.
         """
         t = self._t
-        frame, lo, hi = self.analysis.frames[t], self._bounds[t], self._bounds[t + 1]
+        if t == self._stop:
+            if t == len(self.analysis.frames):
+                raise InvalidConfig(f"all {t} frames already rendered")
+            self._render()
         self._t = t + 1
-
-        # On the first frame, synthesis phases equal analysis phases.
-        if lo == hi:
-            if t == 0:
-                self._synth_phase = np.angle(frame)
-                return frame.copy()
-            theta = self._last_synth_phase() + self._free_advance
-            self._dests, self._angles = _NO_DESTS, _NO_ANGLES
-            self._synth_phase = theta
-            return np.abs(frame) * np.exp(1j * theta)
-
-        lengths, dests = self.analysis.lengths[lo:hi], self._peak_dests[lo:hi]
-        targets = self._slots + self._shifts[lo:hi].repeat(lengths)
-        offset, size = self._offset, self._work_size
-
-        if t == 0:
-            self._keep_tracks(dests, np.zeros(dests.size))
-            return self._defer_phase(_scatter(frame, targets, offset, size))
-        if self.spec.variant == "identity-locked":
-            angles = self._angles[self._sources[lo:hi]] + self._increments[lo:hi]
-            rotation = np.exp(1j * angles).repeat(lengths)
-            self._keep_tracks(dests, angles)
-            return self._defer_phase(_scatter(frame * rotation, targets, offset, size))
-        inst_freq = self.analysis.inst_freq[t]
-        shifted = _scatter(frame, targets, offset, size)
-        target = np.empty(size)
-        spectrum = target[offset : offset + frame.size]
-        spectrum[:] = inst_freq
-        target[targets] = inst_freq  # region order: later regions win collisions
-        theta = self._last_synth_phase() + self._bin_step * spectrum
-        self._dests, self._angles = _NO_DESTS, _NO_ANGLES
-        self._synth_phase = theta
-        return np.abs(shifted) * np.exp(1j * theta)
+        return self._rows[t - self._start].copy()
 
 
 @dataclass(frozen=True)
@@ -415,6 +476,7 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
     out_frames = np.empty_like(analysis.frames)
     for t in range(len(out_frames)):
         out_frames[t] = prop.advance()
+    del prop  # its plan and last block are not needed to resynthesize
     spectrogram = Spectrogram(out_frames, analysis.config, analysis.sample_rate)
     return resynthesize(spectrogram, analysis.n_samples)
 

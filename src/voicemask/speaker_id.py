@@ -26,6 +26,7 @@ from .errors import (
     InvalidConfig,
     InvalidModel,
     InvariantViolation,
+    IoFailure,
     MissingGender,
     NotPositiveDefinite,
     ParseError,
@@ -252,6 +253,7 @@ def save_models(path, models) -> None:
 
     A label holding a line break (anything ``str.splitlines`` splits on)
     cannot be stored; it raises InvariantViolation before anything is written.
+    A store that cannot be written is IoFailure.
     """
     blocks = []
     for model in models:
@@ -264,7 +266,10 @@ def save_models(path, models) -> None:
         for row in model.C:
             lines.append(" ".join(repr(float(v)) for v in row))
         blocks.append("\n".join(lines))
-    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _raise_first_bad_row(lines, first, p) -> None:

@@ -41,6 +41,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture()
+def under_a_file(tmp_path):
+    """A path whose parent is a regular file, so nothing can be written there."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    return blocker / "out"
+
+
+def assert_cannot_write(code, out, err, path):
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {path}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestTransform:
     def test_degree_maps_to_pitch_ratio(self, capsys, tone_wav, tmp_path):
         out = tmp_path / "out.wav"
@@ -220,6 +235,11 @@ class TestEnrollIdentifyGender:
             f"skipping {bad}: {bad}: not a RIFF/WAVE file"
         ]
 
+    def test_enroll_models_under_a_file_is_io_failure(self, capsys, corpus_dir, under_a_file):
+        code, out, err = run(capsys, "enroll", "--manifest", str(corpus_dir / "manifest.csv"),
+                             "--models", str(under_a_file))
+        assert_cannot_write(code, out, err, under_a_file)
+
     def test_enroll_without_train_audio_for_a_gender_is_runtime_error(self, capsys, tmp_path):
         manifest = synth_corpus(11, 4, 2, tmp_path / "corpus")
         for entry in manifest.train_entries():
@@ -364,6 +384,11 @@ class TestSynthAndMos:
         assert err == f"error: {reason}\n"
         assert not out_dir.exists()
 
+    def test_synth_out_under_a_file_is_io_failure(self, capsys, under_a_file):
+        code, out, err = run(capsys, "synth", "--seed", "5", "--speakers", "2", "--utts", "2",
+                             "--out", str(under_a_file))
+        assert_cannot_write(code, out, err, under_a_file)
+
     def test_mos_fixture(self, capsys, tmp_path):
         rows = ["listener_id,file_id,algorithm,degree,rating"]
         ratings = [4, 4, 4, 4, 4, 4, 4, 3, 3, 3]  # sums to 37
@@ -399,6 +424,13 @@ class TestSweepCommand:
             assert value == "-"
         csv_text = (out_dir / "sweep.csv").read_text()
         assert len(csv_text.strip().split("\n")) == 1 + 2 * 2  # header + algos x genders
+
+    def test_sweep_out_under_a_file_is_io_failure(self, capsys, corpus_dir, under_a_file):
+        code, out, err = run(
+            capsys, "sweep", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--algos", "voc", "--degrees", "0..0", "--out", str(under_a_file),
+        )
+        assert_cannot_write(code, out, err, under_a_file)
 
     def test_bad_degree_spec_is_usage_error(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as exit_info:

@@ -344,3 +344,13 @@ class TestErrorContract:
         with pytest.raises(InvalidConfig) as caught:
             call()
         assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_advance_past_the_last_frame_is_invalid_config(self, variant):
+        analysis = analyse_pitch(make_vowel(seconds=2048 / SR))
+        assert len(analysis.frames) == 5
+        prop = PhasePropagator(PitchShiftSpec(1.2, variant=variant), analysis)
+        for _ in range(5):
+            prop.advance()
+        with pytest.raises(InvalidConfig, match="all 5 frames already rendered"):
+            prop.advance()

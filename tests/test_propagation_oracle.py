@@ -12,6 +12,7 @@ to transform.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,10 +32,11 @@ from voicemask import (
     shift_coefficients,
 )
 from voicemask.errors import NonFiniteSignal
+from voicemask.phase_vocoder import _BLOCK_FRAMES
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import phase_reference
-from helpers import pitch_analysis
+from helpers import SR, make_vowel, pitch_analysis
 
 # 33 bins make shifts off both ends and colliding regions common; 513 is the
 # toolkit's default frame.
@@ -154,6 +156,77 @@ class TestPlannedPathOracle:
         ])
         want = resynthesize(Spectrogram(frames, cfg, buf.sample_rate), len(buf))
         assert shift_analysed(analysis, spec).samples.tobytes() == want.samples.tobytes()
+
+
+def assert_matches_reference(analysis, spec):
+    """Every advance() frame, its track angles and shift_analysed equal the reference's bytes."""
+    prop = PhasePropagator(spec, analysis)
+    reference = phase_reference.ReferencePropagator(spec, analysis.config)
+    frames = []
+    for frame, partition, inst_freq in zip(
+        analysis.frames, analysis.partitions, analysis.inst_freq
+    ):
+        got = prop.advance()
+        frames.append(reference.advance(frame, partition, inst_freq))
+        assert got.tobytes() == frames[-1].tobytes()
+        assert angle_bytes(prop) == angle_bytes(reference)
+    spectrogram = Spectrogram(np.array(frames), analysis.config, analysis.sample_rate)
+    want = resynthesize(spectrogram, analysis.n_samples)
+    assert shift_analysed(analysis, spec).samples.tobytes() == want.samples.tobytes()
+
+
+B = _BLOCK_FRAMES
+# Peak-free frames: none, frame 0, the frames about the first block boundary,
+# a run across it, and every frame. Frames past a cell's end are dropped.
+PEAK_FREE_LAYOUTS = {
+    "voiced": (),
+    "frame 0": (0,),
+    "boundary frames": (B - 1, B, B + 1),
+    "run across boundary": tuple(range(B - 3, B + 3)),
+    "all": None,
+}
+
+
+def random_cell(cfg, n_frames, peak_free, seed):
+    """An analysis of random frames, peak-free at the given frames (all if None)."""
+    rng = np.random.default_rng(seed)
+    n = cfg.n_bins
+    frames = rng.random((n_frames, n)) * np.exp(2j * np.pi * rng.random((n_frames, n)))
+    partitions = [
+        None
+        if peak_free is None or t in peak_free
+        else regions_of_influence(frame, detect_peaks(frame))
+        for t, frame in enumerate(frames)
+    ]
+    inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, (n_frames, n))
+    return pitch_analysis(frames, partitions, inst_freq, cfg)
+
+
+class TestBlockBoundaries:
+    """advance renders blocks of _BLOCK_FRAMES frames; no boundary may show in the bytes."""
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.84, 1.0, 1.19, 4.0])
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    @pytest.mark.parametrize("layout", list(PEAK_FREE_LAYOUTS))
+    @pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["33 bins", "513 bins"])
+    def test_random_cells_match_reference_bytes(self, cfg, n_frames, layout, variant, ratio):
+        # A 513-bin block of B frames holds more than 256 KiB of complex values,
+        # where numpy's temporary elision would swap a product's operands.
+        analysis = random_cell(cfg, n_frames, PEAK_FREE_LAYOUTS[layout], seed=n_frames)
+        assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_three_second_vowel_matches_reference_bytes(self, variant):
+        # Silence around the second boundary leaves those frames peak-free.
+        cfg = StftConfig()
+        samples = make_vowel(seconds=3.0).samples.copy()
+        samples[(2 * B - 2) * cfg.hop : (2 * B + 2) * cfg.hop + cfg.frame_len] = 0.0
+        analysis = analyse_pitch(AudioBuffer(samples, SR), cfg)
+        assert len(analysis.frames) > 5 * B
+        peak_free = [t for t, p in enumerate(analysis.partitions) if p is None]
+        assert peak_free == list(range(2 * B - 2, 2 * B + 3))
+        assert_matches_reference(analysis, PitchShiftSpec(1.19, variant))
 
 
 @st.composite
