@@ -22,7 +22,13 @@ from .corpus import (
     load_manifest,
     synth_corpus,
 )
-from .errors import NoCrossover, VoicemaskError
+from .errors import (
+    EmptyEnrollment,
+    InvariantViolation,
+    MissingGender,
+    NoCrossover,
+    VoicemaskError,
+)
 from .phase_vocoder import VARIANTS, PitchShiftSpec, pitch_shift
 from .signal_core import read_wav, write_wav
 from .vtln import FAMILIES, WarpSpec, vtln_transform
@@ -105,7 +111,11 @@ def _cmd_enroll(parser, args) -> int:
     from .experiment import enroll
     from .speaker_id import save_models
 
-    speakers, male, female = enroll(load_manifest(args.manifest))
+    manifest = load_manifest(args.manifest)
+    reserved = sorted({"M", "F"}.intersection(manifest.speakers()))
+    if reserved:
+        raise InvariantViolation(f"speaker id {reserved[0]!r} is reserved for a gender model")
+    speakers, male, female = enroll(manifest)
     save_models(args.models, speakers + [male, female])
     return 0
 
@@ -122,8 +132,7 @@ def _cmd_identify(parser, args) -> int:
 
     speakers, _, _ = _split_models(load_models(args.models))
     if not speakers:
-        print("error: model store has no speaker models", file=sys.stderr)
-        return 1
+        raise EmptyEnrollment("model store has no speaker models")
     test = covariance_model(extract_cepstra(read_wav(args.in_path)), label="probe")
     for label, score in identify_speaker(test, speakers):
         print(f"{label} {score:.6f}")
@@ -135,8 +144,7 @@ def _cmd_gender(parser, args) -> int:
 
     _, male, female = _split_models(load_models(args.models))
     if male is None or female is None:
-        print("error: model store lacks a gender model", file=sys.stderr)
-        return 1
+        raise MissingGender("model store lacks a gender model")
     test = covariance_model(extract_cepstra(read_wav(args.in_path)), label="probe")
     decided, margin = classify_gender(test, male, female)
     print(f"{decided} {margin:.6f}")
@@ -212,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
-    except (VoicemaskError, OSError, ValueError) as exc:
+    except VoicemaskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

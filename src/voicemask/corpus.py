@@ -161,16 +161,12 @@ class DegreeSchedule:
         return analyse_pitch(buf) if self.family == "pitch" else analyse_warp(buf)
 
     def apply(
-        self,
-        analysis: PitchAnalysis | WarpAnalysis,
-        degree: int,
-        gender: str | None = None,
-        variant: str = "identity-locked",
+        self, analysis: PitchAnalysis | WarpAnalysis, degree: int, gender: str | None = None
     ) -> AudioBuffer:
         """Modify and resynthesize an analysis from analyse() at one degree."""
         param = self.parameter(degree, gender)
         if self.family == "pitch":
-            return shift_analysed(analysis, PitchShiftSpec(ratio=param, variant=variant))
+            return shift_analysed(analysis, PitchShiftSpec(ratio=param))
         return warp_analysed(analysis, WarpSpec(self.algorithm, param))
 
 
@@ -300,7 +296,6 @@ def _render_utterance(
     # same order, and einsum's operand order fixes its products and its sum
     # over k, so the samples keep their bits (tests/test_synth_oracle.py).
     voiced = np.zeros(total)
-    window_cache = {}
     for seg, (start, end) in enumerate(zip(starts, bounds)):
         lo = max(0, start - fade // 2)
         hi = min(total, end + fade // 2)
@@ -323,15 +318,13 @@ def _render_utterance(
         chunk += harmonic_phases[:, None]
         np.cos(chunk, out=chunk)
         segment = np.einsum("k,kl,kl->l", amps, tracks, chunk)
-        if length not in window_cache:
-            ramp = np.ones(length)
-            edge = np.minimum(fade, length // 2)
-            if edge > 0:
-                shape = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-                ramp[:edge] = shape
-                ramp[length - edge :] = shape[::-1]
-            window_cache[length] = ramp
-        voiced[lo:hi] += segment * window_cache[length]
+        ramp = np.ones(length)
+        edge = np.minimum(fade, length // 2)
+        if edge > 0:
+            shape = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+            ramp[:edge] = shape
+            ramp[length - edge :] = shape[::-1]
+        voiced[lo:hi] += segment * ramp
 
     voiced *= 1.0 + _AM_WOBBLE[gender] * _smooth_noise(rng, total, 8.0, fs)
     rms = np.sqrt(np.mean(voiced**2))

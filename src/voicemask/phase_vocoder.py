@@ -212,8 +212,8 @@ class PhasePropagator:
     accumulated rotation angle. Tracks are keyed by destination peak bin and
     matched frame-to-frame by nearest destination-bin distance within a
     4-bin tolerance (ties to the lower bin); unmatched new peaks start from
-    the analysis phase of their frame. ``advance`` renders the frames in
-    blocks of ``_BLOCK_FRAMES``.
+    the analysis phase of their frame. ``advance`` hands out the frames of
+    ``_render_blocks``, which renders them ``_BLOCK_FRAMES`` at a time.
     """
 
     def __init__(self, spec: PitchShiftSpec, analysis: PitchAnalysis):
@@ -224,26 +224,20 @@ class PhasePropagator:
             )
         self.spec, self.analysis = spec, analysis
         self._locked = spec.variant == "identity-locked"
-        n_bins, hop = analysis.config.n_bins, analysis.config.hop
-        shift_of, self._offset, self._work_size = _translation(spec.ratio, n_bins)
-        self._slots = np.arange(n_bins) + self._offset
-        self._bin_step = hop * spec.ratio
-        self._free_advance = self._bin_step * bin_frequencies(n_bins)
+        shift_of, offset, size = _translation(spec.ratio, analysis.config.n_bins)
         self._bounds = analysis.offsets.tolist()
         # The plan: one entry per peak, frame after frame.
         peaks = analysis.regions[:, 0]
-        self._shifts = shift_of[peaks]
-        self._peak_dests = peaks + self._shifts
+        shifts = shift_of[peaks]
+        self._peak_dests = peaks + shifts
         if self._locked:
-            self._angles = self._accumulate_angles(hop * (spec.ratio - 1.0))
+            self._angles = self._accumulate_angles(size)
         else:  # the loose variant keeps only frame 0's tracks, at angle 0
             self._angles = np.zeros(self._bounds[1])
-        # Frames _start:_stop are rendered in _rows; _t is the next to return.
-        self._t = self._start = self._stop = 0
-        self._rows = None
-        # Synthesis phases of frame _stop - 1, or None to take them from its
-        # rendered row; only a later peak-free or loose frame reads them.
-        self._phase = None
+        self._t = 0  # the next frame to hand out
+        # The generator holds no reference to self: a cycle would keep the
+        # plan and the last block alive after the propagator is dropped.
+        self._frames = _render_blocks(spec, analysis, self._angles, shifts, offset, size)
 
     @property
     def track_angles(self) -> dict[int, float]:
@@ -259,14 +253,15 @@ class PhasePropagator:
         # Of equal destinations the last peak's track lives, as in a dict.
         return {int(d): float(a) for d, a in zip(self._peak_dests[lo:hi], self._angles[lo:hi])}
 
-    def _accumulate_angles(self, step: float) -> np.ndarray:
+    def _accumulate_angles(self, size: int) -> np.ndarray:
         """Each peak's track angle: its source's angle plus the rotation over the hop.
 
         The recurrence is the only dependency between frames, so it runs
         first, one gather and add per frame. A new track (source -1) reads
         the trailing 0.0 and adds 0.0, so it starts from the analysis phase.
         """
-        sources = self._match()
+        sources = self._match(size)
+        step = self.analysis.config.hop * (self.spec.ratio - 1.0)
         increments = step * self.analysis.peak_freq
         increments[sources < 0] = 0.0
         angles = np.zeros(sources.size + 1)
@@ -276,7 +271,7 @@ class PhasePropagator:
                 np.add(angles.take(sources[lo:hi]), increments[lo:hi], out=angles[lo:hi])
         return angles
 
-    def _match(self) -> np.ndarray:
+    def _match(self, size: int) -> np.ndarray:
         """Row of each peak's nearest kept track in the previous frame, -1 if none.
 
         Of equal destinations in a frame only the last peak's track is kept.
@@ -285,7 +280,7 @@ class PhasePropagator:
         tolerance: one search serves all frames.
         """
         offsets = self.analysis.offsets
-        stride = self._work_size + _TRACK_MATCH_TOLERANCE + 1
+        stride = size + _TRACK_MATCH_TOLERANCE + 1
         keys = np.repeat(np.arange(offsets.size - 1) * stride, np.diff(offsets))
         keys += self._peak_dests
         kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
@@ -307,74 +302,88 @@ class PhasePropagator:
         sources[far] = -1
         return sources
 
-    def _render(self) -> None:
-        """Render the next block of frames into _rows.
+    def advance(self) -> np.ndarray:
+        """Produce the synthesis frame of the next analysis frame.
 
-        The voiced frames' regions are rotated (identity locking) and
-        scattered at once; the peak-free frames follow in order. Every
-        complex product keeps the operand order of the one-frame form (frame
-        x rotation, magnitude x exp): numpy's multiply is not commutative to
-        the last bit, and its temporary elision swaps the operands of arrays
-        above 256 KiB (README).
+        Peak-free frames pass through unshifted with phases advanced by
+        hop * ratio * omega. The frame is a row of the rendered block, not a
+        copy; the propagator never reads it again.
         """
-        a = self.analysis
-        start = self._stop
-        stop = min(start + _BLOCK_FRAMES, len(a.frames))
-        lo, hi = self._bounds[start], self._bounds[stop]
-        n, offset, size = a.config.n_bins, self._offset, self._work_size
+        t = self._t
+        if t == len(self.analysis.frames):
+            raise InvalidConfig(f"all {t} frames already rendered")
+        self._t = t + 1
+        return next(self._frames)
+
+
+def _render_blocks(spec, analysis, angles, shifts, offset, size):
+    """Yield the synthesis frames of a planned analysis, _BLOCK_FRAMES at a time.
+
+    Each block rotates (identity locking) by the plan's track ``angles`` and
+    scatters by its region ``shifts`` all its voiced frames' regions at once,
+    into work rows of ``size`` bins that hold the spectrum at ``offset``; its
+    peak-free frames follow in order. The phases carried into the next block
+    are taken before any of its rows is handed out, so the caller may edit
+    them. Every complex product keeps the one-frame operand order (frame x
+    rotation, magnitude x exp): numpy's multiply is not commutative to the
+    last bit, and its temporary elision swaps the operands of arrays above
+    256 KiB (README).
+    """
+    a, locked = analysis, spec.variant == "identity-locked"
+    n, n_frames = a.config.n_bins, len(a.frames)
+    slots = np.arange(n) + offset
+    bin_step = a.config.hop * spec.ratio
+    free_advance = bin_step * bin_frequencies(n)
+    carried = None  # synthesis phases of the last frame of the last block
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, n_frames)
+        lo, hi = a.offsets[start], a.offsets[stop]
         frames = a.frames[start:stop]
         peak_free = np.diff(a.offsets[start : stop + 1]) == 0
         voiced = np.flatnonzero(~peak_free)
-        # The phases carried from the last block, which is then let go.
-        carried = None
-        if start and (peak_free[0] or not self._locked):
-            carried = np.angle(self._rows[-1]) if self._phase is None else self._phase
-        self._rows = None
         work = np.zeros((stop - start, size), dtype=np.complex128)
         rows = work[:, offset : offset + n]
-        if voiced.size:
-            lengths = a.lengths[lo:hi]
-            values = frames[voiced].reshape(-1)
-            if self._locked:
-                # Frame 0's tracks have angle 0; a rotation by exactly 1 changes
-                # at most the sign of a zero, which the sum into +0 drops.
-                rotation = np.exp(1j * self._angles[lo:hi]).repeat(lengths)
-                np.multiply(values, rotation, out=values)
-            # Each bin goes to row * size + slot + its region's shift; bins
-            # beyond the spectrum land in the margins of their work row, and
-            # colliding regions add up in region order.
-            targets = self._shifts[lo:hi].repeat(lengths).reshape(voiced.size, n)
-            targets += self._slots
-            targets += (voiced * size)[:, None]
-            targets = targets.reshape(-1)
-            np.add.at(work.reshape(-1), targets, values)
+        lengths = a.lengths[lo:hi]
+        values = frames[voiced].reshape(-1)
+        if locked:
+            # Frame 0's tracks have angle 0; a rotation by exactly 1 changes
+            # at most the sign of a zero, which the sum into +0 drops.
+            np.multiply(values, np.exp(1j * angles[lo:hi]).repeat(lengths), out=values)
+        # Each bin goes to row * size + slot + its region's shift; bins beyond
+        # the spectrum land in the margins of their work row, and colliding
+        # regions add up in region order.
+        targets = shifts[lo:hi].repeat(lengths).reshape(voiced.size, n)
+        targets += slots
+        targets += (voiced * size)[:, None]
+        targets = targets.reshape(-1)
+        np.add.at(work.reshape(-1), targets, values)
+        del values
         # Frame 0's synthesis phases are those of its output: the analysis
         # phases, or (voiced) those of its unrotated scatter.
         first = int(start == 0)
         if first and peak_free[0]:
             rows[0] = frames[0]
-        if self._locked:
+        if locked:
             # A peak-free frame advances the previous frame's phases, taken
             # from its output unless it was peak-free too.
             phase, at = carried, -1
             for i in np.flatnonzero(peak_free[first:]) + first:
                 if at != i - 1:
                     phase = np.angle(rows[i - 1])
-                phase = phase + self._free_advance
+                phase = phase + free_advance
                 np.multiply(np.abs(frames[i]), np.exp(1j * phase), out=rows[i])
                 at = i
-            self._phase = phase if at == len(rows) - 1 else None
+            carried = phase if at == len(rows) - 1 else np.angle(rows[-1])
         elif len(rows) > first:
             # Loose: every frame after frame 0 advances the previous phases
             # by hop * ratio times its target frequencies.
             target = np.empty((stop - start, size))
             theta = target[:, offset : offset + n]
             theta[...] = a.inst_freq[start:stop]
-            if voiced.size:
-                # Region order: later regions win collisions.
-                target.reshape(-1)[targets] = a.inst_freq[start + voiced].reshape(-1)
-            theta *= self._bin_step
-            theta[peak_free] = self._free_advance
+            # Region order: later regions win collisions.
+            target.reshape(-1)[targets] = a.inst_freq[start + voiced].reshape(-1)
+            theta *= bin_step
+            theta[peak_free] = free_advance
             theta = theta[first:]
             theta[0] += np.angle(rows[0]) if first else carried
             np.cumsum(theta, axis=0, out=theta)
@@ -383,22 +392,10 @@ class PhasePropagator:
             rotation = np.multiply(1j, theta)
             np.exp(rotation, out=rotation)
             np.multiply(magnitude, rotation, out=rows[first:])
-            self._phase = theta[-1].copy()
-        self._start, self._stop, self._rows = start, stop, rows
-
-    def advance(self) -> np.ndarray:
-        """Produce the synthesis frame of the next analysis frame.
-
-        Peak-free frames pass through unshifted with phases advanced by
-        hop * ratio * omega.
-        """
-        t = self._t
-        if t == self._stop:
-            if t == len(self.analysis.frames):
-                raise InvalidConfig(f"all {t} frames already rendered")
-            self._render()
-        self._t = t + 1
-        return self._rows[t - self._start].copy()
+            carried = theta[-1].copy()
+            del target, theta, magnitude, rotation
+        yield from rows
+        del work, rows, targets  # let the block go before the next is allocated
 
 
 @dataclass(frozen=True)

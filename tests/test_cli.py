@@ -252,6 +252,34 @@ class TestEnrollIdentifyGender:
         assert "gender F" in err
         assert not store.exists()
 
+    @pytest.mark.parametrize("speaker,label", [("spk01", "M"), ("spk00", "F")])
+    def test_enroll_refuses_a_speaker_labelled_as_a_gender(self, capsys, corpus_dir, tmp_path,
+                                                           speaker, label):
+        # In the store, a speaker labelled M or F would pass for a gender model.
+        header, *rows = (corpus_dir / "manifest.csv").read_text().splitlines()
+        rows = [f"{corpus_dir}/{row}".replace(f",{speaker},", f",{label},") for row in rows]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join([header] + rows) + "\n")
+        store = tmp_path / "models.txt"
+        code, out, err = run(capsys, "enroll", "--manifest", str(manifest), "--models", str(store))
+        assert code == 1 and out == ""
+        assert err == f"error: speaker id {label!r} is reserved for a gender model\n"
+        assert not store.exists()
+
+    @pytest.mark.parametrize("command,labels,message", [
+        ("identify", ("M", "F"), "model store has no speaker models"),
+        ("gender", ("spk00", "M"), "model store lacks a gender model"),
+    ])
+    def test_store_without_the_models_a_command_needs(self, capsys, corpus_dir, tmp_path,
+                                                      command, labels, message):
+        store = tmp_path / "store.txt"
+        save_models(store, [SpeakerModel(label, "M", np.eye(12), 100) for label in labels])
+        code, out, err = run(
+            capsys, command, "--models", str(store), "--in", str(corpus_dir / "spk00_u01.wav")
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_identify_training_utterance_ranks_self_first(self, capsys, corpus_dir, tmp_path):
         store = tmp_path / "models.txt"
         run(capsys, "enroll", "--manifest", str(corpus_dir / "manifest.csv"), "--models", str(store))
@@ -404,6 +432,21 @@ class TestSynthAndMos:
         path.write_text("")
         code, _, _ = run(capsys, "mos", "--ratings", str(path))
         assert code == 1
+
+
+class TestMainErrorPath:
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_an_error_outside_the_toolkit_is_not_swallowed(self, monkeypatch, tmp_path, error):
+        # Only VoicemaskError is a bad input; anything else is a bug and
+        # keeps its traceback.
+        import voicemask.cli as cli
+
+        def broken(parser, args):
+            raise error("not a bad input")
+
+        monkeypatch.setitem(cli._COMMANDS, "mos", broken)
+        with pytest.raises(error, match="not a bad input"):
+            main(["mos", "--ratings", str(tmp_path / "r.csv")])
 
 
 @pytest.mark.slow

@@ -137,10 +137,10 @@ class TestDegreeSchedule:
             schedule = DegreeSchedule(algo)
             analysis = schedule.analyse(buf)
             for degree in degrees:
-                got = schedule.apply(analysis, int(degree), "F", variant="loose").samples
+                got = schedule.apply(analysis, int(degree), "F").samples
                 param = schedule.parameter(int(degree), "F")
                 if schedule.family == "pitch":
-                    want = pitch_shift(buf, PitchShiftSpec(param, variant="loose"))
+                    want = pitch_shift(buf, PitchShiftSpec(param))
                 else:
                     want = vtln_transform(buf, WarpSpec(algo, param))
                 assert got.tobytes() == want.samples.tobytes()

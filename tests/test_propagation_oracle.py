@@ -9,7 +9,9 @@ same length and sample rate, or raises NonFiniteSignal for samples too large
 to transform.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -99,17 +101,43 @@ class TestPropagatorOracle:
                     frame, partition, ratio
                 ).tobytes()
 
-    def test_returned_frame_is_not_the_propagator_state(self):
-        # Editing a returned frame must not change the next frame's phases.
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    @pytest.mark.parametrize("cell", ["3 frames", "across a block boundary"])
+    def test_returned_frame_is_not_the_propagator_state(self, cell, variant):
+        # Editing a returned frame must not change the frames after it: not in
+        # its block, and not through the phases its block carries into the
+        # next (frames B and B + 1 are peak-free).
         cfg = CONFIGS[0]
-        rng = np.random.default_rng(2)
-        frames = [rng.random(cfg.n_bins) + 0j for _ in range(3)]
-        partition = regions_of_influence(frames[0], detect_peaks(frames[0]))
-        analysis = pitch_analysis(frames, [partition, None, None], np.zeros((3, cfg.n_bins)), cfg)
-        clean, edited = (PhasePropagator(PitchShiftSpec(1.5), analysis) for _ in range(2))
-        clean.advance()
-        edited.advance()[:] = 0.0
-        assert clean.advance().tobytes() == edited.advance().tobytes()
+        if cell == "3 frames":
+            rng = np.random.default_rng(2)
+            frames = [rng.random(cfg.n_bins) + 0j for _ in range(3)]
+            partition = regions_of_influence(frames[0], detect_peaks(frames[0]))
+            inst_freq = np.zeros((3, cfg.n_bins))
+            analysis = pitch_analysis(frames, [partition, None, None], inst_freq, cfg)
+        else:
+            analysis = random_cell(cfg, 40, (B, B + 1), seed=40)
+        spec = PitchShiftSpec(1.5, variant)
+        clean, edited = (PhasePropagator(spec, analysis) for _ in range(2))
+        for _ in analysis.frames:
+            frame = edited.advance()
+            assert frame.tobytes() == clean.advance().tobytes()
+            frame[:] = 0.0
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    def test_dropped_propagator_is_freed_at_once(self, variant):
+        # No reference cycle, so shift_analysed's del frees the plan and the
+        # last block before it resynthesizes, without the cycle collector.
+        analysis = random_cell(CONFIGS[0], 40, (B, B + 1), seed=40)
+        gc.disable()
+        try:
+            prop = PhasePropagator(PitchShiftSpec(1.5, variant), analysis)
+            for _ in analysis.frames:
+                prop.advance()
+            freed = weakref.ref(prop)
+            del prop
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 @st.composite
