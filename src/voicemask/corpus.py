@@ -342,6 +342,8 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
     jitter. Utterance 0 is the train partition, the rest are test. A
     directory or file that cannot be written is IoFailure.
     """
+    if seed < 0:  # numpy's seeding refuses it with a plain ValueError
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if n_speakers % 2 != 0:
         raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
     if utterances_per_speaker < 2:

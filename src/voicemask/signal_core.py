@@ -299,43 +299,62 @@ def stft(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> Spectrogram:
     return Spectrogram(np.fft.rfft(frames, axis=1), cfg, buf.sample_rate)
 
 
-def istft(spec: Spectrogram) -> AudioBuffer:
+# Frames inverse-transformed at once. A block's stack (64 x 1024 x 8 bytes
+# for the default frame) is small enough for the allocator to reuse its
+# memory; a whole-cell stack was unmapped after every cell and faulted back
+# in for the next one.
+_BLOCK_FRAMES = 64
+
+
+def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     """Weighted overlap-add resynthesis with window-sum normalization.
 
-    Output length is (n_frames - 1) * hop + frame_len; reconstruction is
-    reliable on the interior, away from frame_len samples at each edge.
+    The natural output length is (n_frames - 1) * hop + frame_len;
+    ``n_samples``, when given, trims it or pads it with zeros. Reconstruction
+    is reliable on the interior, away from frame_len samples at each edge.
+    Frames are inverse-transformed and windowed _BLOCK_FRAMES at a time, and
+    each block is overlap-added before the next is transformed.
     """
     cfg = spec.config
     w = cfg.window_samples()
-    frames = np.fft.irfft(spec.frames, n=cfg.frame_len, axis=1)
-    frames *= w  # in place: no second (n_frames, frame_len) array at the memory peak
     n_frames, hop = spec.n_frames, cfg.hop
     out_len = (n_frames - 1) * hop + cfg.frame_len
+    if n_samples is None:
+        n_samples = out_len
     # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
-    # Running k downwards adds each sample's frames in ascending order.
+    # Frame blocks run in order and k runs downwards within each, so every
+    # sample adds its frames in ascending order.
     n_blocks = -(-cfg.frame_len // hop)
-    acc = np.zeros((n_frames + n_blocks - 1, hop))
-    norm = np.zeros_like(acc)
-    w_sq = w * w
+    pieces = []  # (k, the frame columns of block k, their width), k downwards
     for k in reversed(range(n_blocks)):
         cols = slice(k * hop, min((k + 1) * hop, cfg.frame_len))
-        width = cols.stop - cols.start
-        acc[k : k + n_frames, :width] += frames[:, cols]
+        pieces.append((k, cols, cols.stop - cols.start))
+    n_rows = n_frames + n_blocks - 1
+    # No frame reaches past out_len, so the flat buffer is the output with
+    # its zero tail already in place.
+    flat = np.zeros(max(n_rows * hop, n_samples))
+    acc = flat[: n_rows * hop].reshape(n_rows, hop)
+    norm = np.zeros_like(acc)
+    w_sq = w * w
+    for k, cols, width in pieces:
         norm[k : k + n_frames, :width] += w_sq[cols]
-    acc, norm = acc.reshape(-1)[:out_len], norm.reshape(-1)[:out_len]
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        frames = np.fft.irfft(spec.frames[start : start + _BLOCK_FRAMES], n=cfg.frame_len, axis=1)
+        frames *= w  # in place: no second stack at the memory peak
+        for k, cols, width in pieces:
+            acc[start + k : start + k + len(frames), :width] += frames[:, cols]
     # Floor the normalizer at 1% of its peak: keeps division exact wherever
     # the window sum is well conditioned and stops modified (non-COLA) frame
-    # content from being amplified at the outermost samples.
-    peak = norm.max()
-    if peak <= 0.0:
-        return AudioBuffer(np.zeros(out_len), spec.sample_rate)
-    out = acc / np.maximum(norm, 1e-2 * peak)
-    return AudioBuffer(out, spec.sample_rate)
+    # content from being amplified at the outermost samples. Without frames
+    # the window sum and the output are zero.
+    norm = norm.reshape(-1)[:out_len]
+    peak = norm.max(initial=0.0)
+    kept = min(out_len, n_samples)
+    if peak > 0.0:
+        flat[:kept] /= np.maximum(norm[:kept], 1e-2 * peak, out=norm[:kept])
+    return AudioBuffer(flat[:n_samples], spec.sample_rate)
 
 
 def resynthesize(spec: Spectrogram, n_samples: int) -> AudioBuffer:
     """Inverse STFT zero-padded or trimmed to ``n_samples``: every transform's last step."""
-    out = istft(spec).samples
-    if out.size < n_samples:
-        out = np.concatenate([out, np.zeros(n_samples - out.size)])
-    return AudioBuffer(out[:n_samples], spec.sample_rate)
+    return istft(spec, n_samples)

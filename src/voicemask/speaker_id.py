@@ -50,6 +50,11 @@ __all__ = [
 
 _ENERGY_FLOOR = 1e-10
 _REGULARIZATION = 1e-6
+# Feature frames windowed and transformed at once. A block's buffers (128 x
+# 512 samples at 16 kHz) are small enough for the allocator to reuse their
+# memory; whole-utterance ones were unmapped after every call and faulted
+# back in for the next.
+_FEATURE_BLOCK = 128
 # The LAPACK routines behind scipy's cho_factor/cho_solve, called directly
 # with the flags those wrappers pass, so every bit matches theirs.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
@@ -141,7 +146,14 @@ def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> n
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
 
     n_fft = 1 << (frame - 1).bit_length()
-    spectrum = np.abs(np.fft.rfft(frames * window, n=n_fft, axis=1))
+    # Windowed frames go _FEATURE_BLOCK at a time into one zero-padded
+    # buffer; only the magnitude spectrum is kept whole, for one matmul.
+    padded = np.zeros((min(_FEATURE_BLOCK, len(frames)), n_fft))
+    spectrum = np.empty((len(frames), n_fft // 2 + 1))
+    for start in range(0, len(frames), _FEATURE_BLOCK):
+        block = frames[start : start + _FEATURE_BLOCK]
+        np.multiply(block, window, out=padded[: len(block), :frame])
+        np.abs(np.fft.rfft(padded[: len(block)], axis=1), out=spectrum[start : start + len(block)])
     energies = spectrum @ _mel_filterbank(cfg.n_mel, n_fft, fs).T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
     cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)
@@ -251,14 +263,22 @@ _HEADER_RE = re.compile(
 def save_models(path, models) -> None:
     """Write models to the textual store; numbers round-trip exactly.
 
-    A label holding a line break (anything ``str.splitlines`` splits on)
-    cannot be stored; it raises InvariantViolation before anything is written.
-    A store that cannot be written is IoFailure.
+    A label holding a line break (anything ``str.splitlines`` splits on) or a
+    lone surrogate (which UTF-8 cannot encode) cannot be stored, and no two
+    models may share a label, since readers find a model by its label. Each
+    raises InvariantViolation before anything is written. A store that
+    cannot be written is IoFailure.
     """
     blocks = []
+    labels = set()
     for model in models:
         if "".join(model.label.splitlines()) != model.label:
             raise InvariantViolation(f"model label {model.label!r} contains a line break")
+        if any("\ud800" <= ch <= "\udfff" for ch in model.label):
+            raise InvariantViolation(f"model label {model.label!r} holds a lone surrogate")
+        if model.label in labels:
+            raise InvariantViolation(f"two models are labelled {model.label!r}")
+        labels.add(model.label)
         lines = [
             f"SPKMODEL v1 P={model.order} label={model.label} "
             f"gender={model.gender} frames={model.n_frames}"

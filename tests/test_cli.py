@@ -16,7 +16,7 @@ from voicemask import (
     write_wav,
 )
 from voicemask.cli import main
-from voicemask.errors import NotPositiveDefinite
+from voicemask.errors import InvariantViolation, NotPositiveDefinite
 
 from helpers import SR, dominant_freq, make_tone
 
@@ -252,18 +252,34 @@ class TestEnrollIdentifyGender:
         assert "gender F" in err
         assert not store.exists()
 
-    @pytest.mark.parametrize("speaker,label", [("spk01", "M"), ("spk00", "F")])
-    def test_enroll_refuses_a_speaker_labelled_as_a_gender(self, capsys, corpus_dir, tmp_path,
-                                                           speaker, label):
-        # In the store, a speaker labelled M or F would pass for a gender model.
+    @staticmethod
+    def relabelled_manifest(corpus_dir, tmp_path, speaker, label):
+        """The corpus manifest with one speaker id replaced by ``label``."""
         header, *rows = (corpus_dir / "manifest.csv").read_text().splitlines()
         rows = [f"{corpus_dir}/{row}".replace(f",{speaker},", f",{label},") for row in rows]
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("\n".join([header] + rows) + "\n")
+        return manifest
+
+    @pytest.mark.parametrize("speaker,label", [("spk01", "M"), ("spk00", "F")])
+    def test_enroll_refuses_a_speaker_labelled_as_a_gender(self, capsys, corpus_dir, tmp_path,
+                                                           speaker, label):
+        # In the store, a speaker labelled M or F would pass for a gender model.
+        manifest = self.relabelled_manifest(corpus_dir, tmp_path, speaker, label)
         store = tmp_path / "models.txt"
         code, out, err = run(capsys, "enroll", "--manifest", str(manifest), "--models", str(store))
         assert code == 1 and out == ""
         assert err == f"error: speaker id {label!r} is reserved for a gender model\n"
+        assert not store.exists()
+
+    @pytest.mark.parametrize("speaker,label", [("spk01", "M"), ("spk00", "F")])
+    def test_library_store_refuses_a_speaker_labelled_as_a_gender(self, corpus_dir, tmp_path,
+                                                                  speaker, label):
+        manifest = self.relabelled_manifest(corpus_dir, tmp_path, speaker, label)
+        speakers, male, female = enroll(load_manifest(manifest))
+        store = tmp_path / "models.txt"
+        with pytest.raises(InvariantViolation, match=f"two models are labelled {label!r}"):
+            save_models(store, speakers + [male, female])
         assert not store.exists()
 
     @pytest.mark.parametrize("command,labels,message", [

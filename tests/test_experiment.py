@@ -183,6 +183,11 @@ class TestSynthCorpus:
             synth_corpus(1, n_speakers, utts, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_is_invalid_config(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="seed must be non-negative, got -1"):
+            synth_corpus(-1, 2, 2, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         manifest = synth_corpus(5, 2, 2, tmp_path)
         loaded = load_manifest(tmp_path / "manifest.csv")

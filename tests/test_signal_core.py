@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voicemask import AudioBuffer, Spectrogram, StftConfig, istft, read_wav, stft, write_wav
+from voicemask import (
+    AudioBuffer,
+    Spectrogram,
+    StftConfig,
+    istft,
+    read_wav,
+    resynthesize,
+    stft,
+    write_wav,
+)
 from voicemask.errors import (
     InvalidConfig,
     IoFailure,
@@ -15,6 +25,7 @@ from voicemask.errors import (
     UnsupportedEncoding,
     VoicemaskError,
 )
+from voicemask.signal_core import _BLOCK_FRAMES as B
 from voicemask.signal_core import cola_deviation
 
 from helpers import SR, interior_snr_db, make_tone
@@ -398,6 +409,12 @@ class TestIstft:
         sg = Spectrogram(np.zeros((5, 513), dtype=complex), StftConfig(), SR)
         assert np.all(istft(sg).samples == 0)
 
+    @pytest.mark.parametrize("hop", [256, 1024])
+    def test_no_frames_resynthesize_to_zeros(self, hop):
+        sg = Spectrogram(np.zeros((0, 513), dtype=complex), StftConfig(hop=hop), SR)
+        assert istft(sg).samples.tobytes() == np.zeros(1024 - hop).tobytes()
+        assert resynthesize(sg, 300).samples.tobytes() == np.zeros(300).tobytes()
+
     def test_single_frame_windowed_sine(self):
         # One frame resynthesizes to the sine wherever the squared window is
         # well conditioned (the normalizer floors near the frame edges).
@@ -413,14 +430,17 @@ class TestIstft:
         buf = make_tone(440, seconds=0.5, sr=8000)
         assert istft(stft(buf)).sample_rate == 8000
 
+    @pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("hop", [1, 5, 16, 24, 63, 64])
     @pytest.mark.parametrize("window", ["hann", "hamming", "rect"])
-    def test_equals_frame_by_frame_overlap_add(self, hop, window):
+    def test_equals_frame_by_frame_overlap_add(self, n_frames, hop, window):
         # Bytes of the plain loop that adds frame t at sample t * hop; hops
-        # that do not divide frame_len leave a partial last block.
+        # that do not divide frame_len leave a partial last hop-wide block,
+        # and frame counts around B a partial last block of frames.
         cfg = StftConfig(frame_len=64, hop=hop, window=window)
-        rng = np.random.default_rng(hop)
-        sg = stft(AudioBuffer(rng.standard_normal(300), SR), cfg)
+        rng = np.random.default_rng([n_frames, hop])
+        sg = stft(AudioBuffer(rng.standard_normal((n_frames - 1) * hop + 64), SR), cfg)
+        assert sg.n_frames == n_frames
         scrambled = sg.frames * np.exp(2j * np.pi * rng.random(sg.frames.shape))
         w = cfg.window_samples()
         frames = np.fft.irfft(scrambled, n=64, axis=1) * w
@@ -430,5 +450,23 @@ class TestIstft:
             acc[t * hop : t * hop + 64] += frame
             norm[t * hop : t * hop + 64] += w * w
         want = acc / np.maximum(norm, 1e-2 * norm.max())
-        got = istft(Spectrogram(scrambled, cfg, SR)).samples
-        assert got.tobytes() == want.tobytes()
+        spec = Spectrogram(scrambled, cfg, SR)
+        assert istft(spec).samples.tobytes() == want.tobytes()
+        # Trimmed, at, and zero-padded past the natural length.
+        for n_samples in (want.size // 2, want.size - 1, want.size, want.size + hop + 1):
+            padded = np.concatenate([want, np.zeros(hop + 1)])[:n_samples]
+            assert resynthesize(spec, n_samples).samples.tobytes() == padded.tobytes()
+
+    def test_memory_stays_below_a_whole_cell_stack(self):
+        # A 184-frame cell's whole inverse-FFT stack alone is 1.5 MB; blocks
+        # keep the peak, output included, near 1.8 MB.
+        spec = stft(AudioBuffer(np.random.default_rng(3).standard_normal(3 * SR), SR))
+        assert spec.n_frames == 184
+        resynthesize(spec, 3 * SR)
+        tracemalloc.start()
+        try:
+            resynthesize(spec, 3 * SR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3e6

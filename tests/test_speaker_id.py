@@ -342,6 +342,14 @@ class TestModelStore:
             save_models(path, models)
         assert not path.exists()
 
+    @pytest.mark.parametrize("label", ["\ud800", "spk\udfff01"], ids=repr)
+    def test_label_with_lone_surrogate_refused_before_writing(self, tmp_path, label):
+        # The store is UTF-8, which cannot encode a surrogate code point.
+        path = tmp_path / "models.txt"
+        with pytest.raises(InvariantViolation, match="lone surrogate"):
+            save_models(path, [model_of(np.eye(3), "spk00", "M"), model_of(np.eye(3), label)])
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(
         labels=st.lists(
@@ -354,7 +362,9 @@ class TestModelStore:
         path = tmp_path_factory.getbasetemp() / "labels.txt"
         path.unlink(missing_ok=True)
         models = [model_of(np.eye(3) * (i + 1), label) for i, label in enumerate(labels)]
-        if any(ch in self.LINE_BREAKS for label in labels for ch in label):
+        if (any(ch in self.LINE_BREAKS or "\ud800" <= ch <= "\udfff"
+                for label in labels for ch in label)
+                or len(set(labels)) < len(labels)):
             with pytest.raises(InvariantViolation):
                 save_models(path, models)
             assert not path.exists()
