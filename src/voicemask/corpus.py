@@ -295,6 +295,9 @@ def _render_utterance(
     # cache. Every element gets the operations of the whole-grid form in the
     # same order, and einsum's operand order fixes its products and its sum
     # over k, so the samples keep their bits (tests/test_synth_oracle.py).
+    # Up to the einsum every step is elementwise per harmonic, so half of a
+    # segment's harmonic rows (flutter, tilt exp, cos) run on a second core
+    # (signal_core._split_rows).
     voiced = np.zeros(total)
     for seg, (start, end) in enumerate(zip(starts, bounds)):
         lo = max(0, start - fade // 2)
@@ -304,20 +307,25 @@ def _render_utterance(
         amps = _resonance_envelope(k * f0, formants, _SOURCE_TILT_HZ[gender])
         tracks = np.empty((n_harm, length))
         work = np.empty((n_harm, length))
-        for j in range(left[lo], left[hi - 1] + 1):
-            a, b = max(ctrl_start[j], lo), min(ctrl_start[j + 1], hi)
-            np.multiply(coarse[:, j, None], rest[a:b], out=tracks[:, a - lo : b - lo])
-            np.multiply(coarse[:, j + 1, None], frac[a:b], out=work[:, a - lo : b - lo])
-        tracks += work
-        tracks *= flutter
-        tracks += 1.0
-        if tilt_wobble > 0.0:
-            np.multiply(log_freq[:, None], slope[lo:hi], out=work)
-            tracks *= np.exp(work, out=work)
-        chunk = np.multiply(k[:, None], phase[lo:hi], out=work)
-        chunk += harmonic_phases[:, None]
-        np.cos(chunk, out=chunk)
-        segment = np.einsum("k,kl,kl->l", amps, tracks, chunk)
+
+        def harmonics(rows):
+            track, chunk = tracks[rows], work[rows]
+            for j in range(left[lo], left[hi - 1] + 1):
+                a, b = max(ctrl_start[j], lo), min(ctrl_start[j + 1], hi)
+                np.multiply(coarse[rows, j, None], rest[a:b], out=track[:, a - lo : b - lo])
+                np.multiply(coarse[rows, j + 1, None], frac[a:b], out=chunk[:, a - lo : b - lo])
+            track += chunk
+            track *= flutter
+            track += 1.0
+            if tilt_wobble > 0.0:
+                np.multiply(log_freq[rows, None], slope[lo:hi], out=chunk)
+                track *= np.exp(chunk, out=chunk)
+            np.multiply(k[rows, None], phase[lo:hi], out=chunk)
+            chunk += harmonic_phases[rows, None]
+            np.cos(chunk, out=chunk)
+
+        signal_core._split_rows(harmonics, n_harm)
+        segment = np.einsum("k,kl,kl->l", amps, tracks, work)
         ramp = np.ones(length)
         edge = np.minimum(fade, length // 2)
         if edge > 0:
@@ -346,6 +354,8 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if n_speakers % 2 != 0:
         raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
+    if n_speakers < 2:
+        raise InvalidConfig(f"need at least 2 speakers, got {n_speakers}")
     if utterances_per_speaker < 2:
         raise InvalidConfig(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
     out_dir = Path(out_dir)

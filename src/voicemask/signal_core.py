@@ -7,7 +7,9 @@ frequency ``pi * k / (n - 1)``.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,6 +157,49 @@ def cola_deviation(cfg: StftConfig) -> float:
     steady = total[cfg.frame_len : -cfg.frame_len]
     mean = steady.mean()
     return float(np.max(np.abs(steady - mean)) / mean)
+
+
+# --- two-core row split ----------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split_rows(fn, n: int) -> None:
+    """Call ``fn(rows)`` with slices that together cover ``range(n)`` once.
+
+    With two or more usable CPUs and two or more rows, a helper thread runs
+    the first half while the caller runs the second; otherwise ``fn`` gets
+    the whole range in the caller. numpy releases the GIL inside its ufunc
+    loops, so two halves of one elementwise kernel run side by side with
+    the bytes of one call. The helper is joined before this returns, and an
+    exception from it is re-raised here, so no thread outlives the call.
+    """
+    half = n // 2
+    if half == 0 or _usable_cpus() < 2:
+        fn(slice(0, n))
+        return
+    errors = []
+
+    def first_half():
+        try:
+            fn(slice(0, half))
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    helper = threading.Thread(target=first_half)
+    helper.start()
+    try:
+        fn(slice(half, n))
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 # --- file I/O --------------------------------------------------------------

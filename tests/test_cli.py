@@ -418,6 +418,8 @@ class TestSynthAndMos:
 
     @pytest.mark.parametrize("speakers,utts,reason", [
         ("3", "2", "n_speakers must be even, got 3"),
+        ("0", "2", "need at least 2 speakers, got 0"),
+        ("-2", "2", "need at least 2 speakers, got -2"),
         ("2", "1", "need at least 2 utterances per speaker, got 1"),
     ])
     def test_synth_bad_sizes_print_one_error_line(self, capsys, tmp_path, speakers, utts, reason):

@@ -291,9 +291,16 @@ class TestResampleFrames:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_bytes_equal_straightforward_form(self, seed):
+        # 0.5 s, 0.3 s and 0.05 s give 28, 15 and 1 frames: the two halves
+        # _resample_frames splits the frames into are equal, unequal, or
+        # one of them is empty.
         rng = np.random.default_rng(seed)
-        noise = AudioBuffer(0.2 * rng.standard_normal(SR // 2), SR)
-        for buf in (make_vowel(f0=100.0 + 60.0 * seed, seconds=0.5), noise):
+        bufs = []
+        for seconds, n_frames in ((0.5, 28), (0.3, 15), (0.05, 1)):
+            noise = AudioBuffer(0.2 * rng.standard_normal(int(SR * seconds)), SR)
+            bufs += [make_vowel(f0=100.0 + 60.0 * seed, seconds=seconds), noise]
+            assert analyse_warp(noise).phase.shape[0] == n_frames
+        for buf in bufs:
             analysis = analyse_warp(buf)
             for spec in ANALYSIS_SPECS + self.SWEEP_SPECS:
                 pos = vtln._source_positions(spec, analysis.config.n_bins)
