@@ -6,13 +6,22 @@ Parseable results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 The commands that score speakers import ``experiment`` and ``speaker_id``
 (and with them scipy) in their handlers, so ``transform``, ``synth`` and
 ``--help`` start without loading scipy.
+
+The program holds BLAS and OpenMP to one thread unless the caller's
+environment says otherwise: an idle BLAS worker spins on the core that
+``signal_core._split_rows`` runs its helper thread on. The setting must be
+in place before numpy loads, which ``import voicemask`` does not do.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .corpus import (
     ALGORITHMS,

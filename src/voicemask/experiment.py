@@ -164,15 +164,13 @@ def run_degree_sweep(
     """
     algorithms = tuple(algorithms)
     degrees = tuple(int(d) for d in degrees)
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise InvalidConfig(f"unknown algorithm {algo!r}")
     for degree in degrees:
         if not 0 <= degree <= MAX_DEGREE:
             raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    # An unknown algorithm is refused here, before any audio is read.
+    schedules = [DegreeSchedule(algo) for algo in algorithms]
     enrolled, male, female = enroll(corpus)
     labels = {model.label for model in enrolled}
-    schedules = [DegreeSchedule(algo) for algo in algorithms]
     analysers = {schedule.family: schedule for schedule in schedules}
 
     counts: dict[tuple[str, str, int], list[int]] = {}

@@ -19,7 +19,7 @@ returns the next synthesis frame, rendered with its block of frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .signal_core import (
     Spectrogram,
     StftConfig,
     bin_frequencies,
-    resynthesize,
+    istft,
     stft,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "PitchAnalysis",
     "detect_peaks",
     "regions_of_influence",
-    "shift_coefficients",
     "PhasePropagator",
     "analyse_pitch",
     "shift_analysed",
@@ -173,27 +172,6 @@ def _translation(ratio: float, n: int) -> tuple[np.ndarray, int, int]:
     shifts = np.floor((ratio - 1.0) * np.arange(n) + 0.5).astype(np.intp)
     edge = int(shifts[-1])
     return shifts, max(0, -edge), n + abs(edge)
-
-
-def _region_lengths(regions: np.ndarray) -> np.ndarray:
-    return regions[:, 2] - regions[:, 1] + 1
-
-
-def shift_coefficients(frame: np.ndarray, partition: np.ndarray, ratio: float) -> np.ndarray:
-    """Translate each region by round((ratio-1) * peak) bins.
-
-    Translated bins falling outside the spectrum are discarded; regions
-    landing on the same destination bin have their complex values summed.
-    """
-    bins = np.asarray(frame, dtype=np.complex128)
-    partition = np.asarray(partition, dtype=np.intp)
-    shift_of, offset, size = _translation(ratio, bins.size)
-    shifts = shift_of[partition[:, 0]].repeat(_region_lengths(partition))
-    # Colliding regions add up in region order; bins beyond the spectrum land
-    # in the margins of the work frame and are dropped with them.
-    work = np.zeros(size, dtype=np.complex128)
-    np.add.at(work, np.arange(offset, offset + bins.size) + shifts, bins)
-    return work[offset : offset + bins.size]
 
 
 # Far-off sentinels bound the tracks, so a nearest-track search never runs
@@ -409,8 +387,7 @@ class PitchAnalysis:
     rows, found with ``neighbor_span``, frame t's at rows
     ``offsets[t]:offsets[t + 1]``; ``lengths`` and ``peak_freq`` hold each
     region's length and the instantaneous frequency at its peak.
-    ``partitions[t]`` is frame t's rows as a view, or None for a peak-free
-    frame. All arrays are read-only.
+    All arrays are read-only.
     """
 
     frames: np.ndarray
@@ -424,17 +401,10 @@ class PitchAnalysis:
     sample_rate: int
     n_samples: int
 
-    partitions: tuple = field(init=False)
-
     def __post_init__(self):
         arrays = (self.frames, self.inst_freq, self.regions, self.offsets, self.lengths)
         for array in (*arrays, self.peak_freq):
             array.setflags(write=False)
-        bounds = self.offsets.tolist()
-        partitions = tuple(
-            self.regions[a:b] if b > a else None for a, b in zip(bounds[:-1], bounds[1:])
-        )
-        object.__setattr__(self, "partitions", partitions)
 
 
 def analyse_pitch(
@@ -455,7 +425,7 @@ def analyse_pitch(
         inst_freq,
         regions,
         offsets,
-        _region_lengths(regions),
+        regions[:, 2] - regions[:, 1] + 1,
         inst_freq[is_peak],  # row-major, the order of the regions
         neighbor_span,
         cfg,
@@ -475,7 +445,7 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
         out_frames[t] = prop.advance()
     del prop  # its plan and last block are not needed to resynthesize
     spectrogram = Spectrogram(out_frames, analysis.config, analysis.sample_rate)
-    return resynthesize(spectrogram, analysis.n_samples)
+    return istft(spectrogram, analysis.n_samples)
 
 
 def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:

@@ -35,7 +35,6 @@ __all__ = [
     "write_wav",
     "stft",
     "istft",
-    "resynthesize",
 ]
 
 
@@ -398,8 +397,3 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     if peak > 0.0:
         flat[:kept] /= np.maximum(norm[:kept], 1e-2 * peak, out=norm[:kept])
     return AudioBuffer(flat[:n_samples], spec.sample_rate)
-
-
-def resynthesize(spec: Spectrogram, n_samples: int) -> AudioBuffer:
-    """Inverse STFT zero-padded or trimmed to ``n_samples``: every transform's last step."""
-    return istft(spec, n_samples)

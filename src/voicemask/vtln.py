@@ -22,7 +22,7 @@ from .signal_core import (
     StftConfig,
     _split_rows,
     bin_frequencies,
-    resynthesize,
+    istft,
     stft,
 )
 
@@ -228,7 +228,7 @@ def warp_analysed(analysis: WarpAnalysis, spec: WarpSpec) -> AudioBuffer:
     pos = _source_positions(spec, analysis.config.n_bins)
     warped = _resample_frames(analysis.magnitude, analysis.phase, pos)
     spectrogram = Spectrogram(warped, analysis.config, analysis.sample_rate)
-    return resynthesize(spectrogram, analysis.n_samples)
+    return istft(spectrogram, analysis.n_samples)
 
 
 def vtln_transform(buf: AudioBuffer, spec: WarpSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:

@@ -40,6 +40,12 @@ def pitch_analysis(frames, partitions, inst_freq, cfg, neighbor_span=2):
     )
 
 
+def frame_partitions(analysis):
+    """Frame t's rows regions[offsets[t]:offsets[t + 1]] of an analysis, or None if peak-free."""
+    bounds = analysis.offsets.tolist()
+    return [analysis.regions[a:b] if b > a else None for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def interior_snr_db(reference, produced, margin=1024):
     """SNR over the interior, excluding `margin` samples at each edge."""
     n = min(len(reference), len(produced))

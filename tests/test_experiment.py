@@ -461,6 +461,18 @@ class TestErrorContract:
         with pytest.raises(InvalidConfig):
             emit_report(SweepResult(()), tmp_path)
 
+    def test_sweep_refuses_an_unknown_algorithm_before_reading_audio(self, tmp_path, caplog):
+        # None of these files exists: enrolling first would log each as skipped.
+        write_manifest(
+            tmp_path / "m.csv",
+            ["a.wav,s0,M,train", "b.wav,s0,M,test", "c.wav,s1,F,train", "d.wav,s1,F,test"],
+        )
+        manifest = load_manifest(tmp_path / "m.csv")
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            with pytest.raises(InvalidConfig, match="'mcadams'"):
+                run_degree_sweep(manifest, algorithms=("mcadams",))
+        assert caplog.records == []
+
     @pytest.mark.parametrize("degree", [-1, 26])
     def test_sweep_checks_degrees_before_any_cell(self, tmp_path, caplog, degree):
         # Checked up front: a bad degree raised inside a cell would be caught

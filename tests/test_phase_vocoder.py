@@ -11,12 +11,21 @@ from voicemask import (
     pitch_shift,
     regions_of_influence,
     shift_analysed,
-    shift_coefficients,
 )
 from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
-from voicemask.phase_vocoder import princarg
+from voicemask.phase_vocoder import VARIANTS, princarg
 
-from helpers import SR, band_log_distortion, dominant_freq, interior_snr_db, make_tone, make_vowel
+import phase_reference
+from helpers import (
+    SR,
+    band_log_distortion,
+    dominant_freq,
+    frame_partitions,
+    interior_snr_db,
+    make_tone,
+    make_vowel,
+    pitch_analysis,
+)
 
 
 def brute_force_peaks(mag, span):
@@ -130,41 +139,56 @@ class TestRegionsOfInfluence:
         assert np.all((partition[:, 0] >= partition[:, 1]) & (partition[:, 0] <= partition[:, 2]))
 
 
+def shift_one_frame(frame, partition, ratio, variant):
+    """Frame 0 of a one-frame analysis through PhasePropagator: its regions shifted, unrotated."""
+    n = 2 * (len(frame) - 1)
+    cfg = StftConfig(frame_len=n, hop=n // 4)
+    analysis = pitch_analysis([frame], [partition], np.zeros((1, len(frame))), cfg)
+    return PhasePropagator(PitchShiftSpec(ratio, variant), analysis).advance()
+
+
 class TestShiftCoefficients:
+    """Each region of a frame moves by round((ratio - 1) * peak) bins."""
+
     def test_ratio_one_is_identity(self):
         rng = np.random.default_rng(10)
         frame = rng.standard_normal(513) + 1j * rng.standard_normal(513)
         partition = regions_of_influence(frame, detect_peaks(frame, 2))
-        np.testing.assert_array_equal(shift_coefficients(frame, partition, 1.0), frame)
+        for variant in VARIANTS:
+            np.testing.assert_array_equal(shift_one_frame(frame, partition, 1.0, variant), frame)
 
     def test_single_region_translates_by_half_peak(self):
         frame = np.zeros(513, dtype=complex)
         frame[95:106] = np.arange(11) + 1j
         partition = np.array([[100, 0, 512]])
-        out = shift_coefficients(frame, partition, 1.5)  # round(0.5 * 100) = +50
-        np.testing.assert_array_equal(out[145:156], frame[95:106])
-        assert np.count_nonzero(out) == 11
+        for variant in VARIANTS:
+            out = shift_one_frame(frame, partition, 1.5, variant)  # round(0.5 * 100) = +50
+            np.testing.assert_array_equal(out[145:156], frame[95:106])
+            assert np.count_nonzero(out) == 11
 
     def test_out_of_range_bins_discarded(self):
         frame = np.ones(513, dtype=complex)
         partition = np.array([[400, 0, 512]])
-        out = shift_coefficients(frame, partition, 1.5)  # shift +200
-        assert np.all(out[:200] == 0)
-        assert np.all(out[200:] == 1)
+        for variant in VARIANTS:
+            out = shift_one_frame(frame, partition, 1.5, variant)  # shift +200
+            assert np.all(out[:200] == 0)
+            assert np.all(out[200:] == 1)
 
     def test_collisions_sum(self):
-        frame = np.ones(64, dtype=complex)
-        partition = np.array([[20, 0, 31], [40, 32, 63]])  # shifts -10 and -20 at ratio 0.5
-        out = shift_coefficients(frame, partition, 0.5)
-        assert out[12] == 2.0  # bins 22 and 32 both land on 12
+        frame = np.ones(65, dtype=complex)
+        partition = np.array([[20, 0, 31], [40, 32, 64]])  # shifts -10 and -20 at ratio 0.5
+        for variant in VARIANTS:
+            out = shift_one_frame(frame, partition, 0.5, variant)
+            assert out[12] == 2.0  # bins 22 and 32 both land on 12
 
 
 class TestPhasePropagation:
     def test_first_frame_keeps_analysis_phases(self):
         analysis = analyse_pitch(make_vowel(seconds=0.5))
         out = PhasePropagator(PitchShiftSpec(1.25), analysis).advance()
-        frame, partition = analysis.frames[0], analysis.partitions[0]
-        np.testing.assert_allclose(out, shift_coefficients(frame, partition, 1.25), atol=1e-12)
+        frame, partition = analysis.frames[0], frame_partitions(analysis)[0]
+        want = phase_reference.shift_coefficients(frame, partition, 1.25)
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_ratio_one_output_equals_analysis(self):
         analysis = analyse_pitch(make_vowel(seconds=0.5))
@@ -185,7 +209,7 @@ class TestPhasePropagation:
         omega_c = 2.0 * np.pi * k / cfg.frame_len
         ratio = 1.5
         analysis = analyse_pitch(make_tone(k * SR / cfg.frame_len, seconds=0.5), cfg)
-        assert all(p is not None for p in analysis.partitions)
+        assert all(p is not None for p in frame_partitions(analysis))
         prop = PhasePropagator(PitchShiftSpec(ratio), analysis)
         angles = []
         for _ in analysis.frames:
@@ -267,7 +291,7 @@ class TestAnalyseOnce:
         buf = voiced_with_gap()
         analysis = analyse_pitch(buf)
         frames, inst_freq = analysis.frames.copy(), analysis.inst_freq.copy()
-        partitions = [None if p is None else p.copy() for p in analysis.partitions]
+        partitions = [None if p is None else p.copy() for p in frame_partitions(analysis)]
         assert any(p is None for p in partitions) and any(p is not None for p in partitions)
         order = np.random.default_rng(5).permutation(len(ANALYSIS_RATIOS))
         for ratio in np.array(ANALYSIS_RATIOS)[order]:
@@ -276,11 +300,10 @@ class TestAnalyseOnce:
             assert reused.samples.tobytes() == pitch_shift(buf, spec).samples.tobytes()
         assert np.array_equal(analysis.frames, frames)
         assert np.array_equal(analysis.inst_freq, inst_freq)
-        for got, want in zip(analysis.partitions, partitions):
+        for got, want in zip(frame_partitions(analysis), partitions):
             assert (got is None and want is None) or np.array_equal(got, want)
         assert not analysis.frames.flags.writeable
         assert not analysis.inst_freq.flags.writeable
-        assert not any(p.flags.writeable for p in analysis.partitions if p is not None)
         with pytest.raises(ValueError):
             analysis.frames[0, 0] = 0.0
 
@@ -292,20 +315,14 @@ class TestAnalyseOnce:
         with pytest.raises(ValueError):
             PhasePropagator(PitchShiftSpec(1.2), analysis)
 
-    def test_partitions_are_views_of_the_flat_regions(self):
+    def test_flat_regions_describe_every_frame(self):
         analysis = analyse_pitch(voiced_with_gap())
         offsets = analysis.offsets.tolist()
-        assert len(offsets) == len(analysis.partitions) + 1 == len(analysis.frames) + 1
-        for t, partition in enumerate(analysis.partitions):
-            rows = analysis.regions[offsets[t] : offsets[t + 1]]
-            if partition is None:
-                assert rows.size == 0
-            else:
-                assert np.shares_memory(partition, analysis.regions)
-                assert np.array_equal(partition, rows)
-                peaks = partition[:, 0]
-                assert np.array_equal(analysis.peak_freq[offsets[t] : offsets[t + 1]],
-                                      analysis.inst_freq[t, peaks])
+        assert len(offsets) == len(analysis.frames) + 1
+        assert any(a == b for a, b in zip(offsets, offsets[1:]))  # a peak-free frame
+        for t, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            peaks = analysis.regions[a:b, 0]
+            assert np.array_equal(analysis.peak_freq[a:b], analysis.inst_freq[t, peaks])
         assert np.array_equal(analysis.lengths, analysis.regions[:, 2] - analysis.regions[:, 1] + 1)
         for array in (analysis.regions, analysis.offsets, analysis.lengths, analysis.peak_freq):
             assert not array.flags.writeable

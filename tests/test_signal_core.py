@@ -13,7 +13,6 @@ from voicemask import (
     StftConfig,
     istft,
     read_wav,
-    resynthesize,
     stft,
     write_wav,
 )
@@ -413,7 +412,7 @@ class TestIstft:
     def test_no_frames_resynthesize_to_zeros(self, hop):
         sg = Spectrogram(np.zeros((0, 513), dtype=complex), StftConfig(hop=hop), SR)
         assert istft(sg).samples.tobytes() == np.zeros(1024 - hop).tobytes()
-        assert resynthesize(sg, 300).samples.tobytes() == np.zeros(300).tobytes()
+        assert istft(sg, 300).samples.tobytes() == np.zeros(300).tobytes()
 
     def test_single_frame_windowed_sine(self):
         # One frame resynthesizes to the sine wherever the squared window is
@@ -455,17 +454,17 @@ class TestIstft:
         # Trimmed, at, and zero-padded past the natural length.
         for n_samples in (want.size // 2, want.size - 1, want.size, want.size + hop + 1):
             padded = np.concatenate([want, np.zeros(hop + 1)])[:n_samples]
-            assert resynthesize(spec, n_samples).samples.tobytes() == padded.tobytes()
+            assert istft(spec, n_samples).samples.tobytes() == padded.tobytes()
 
     def test_memory_stays_below_a_whole_cell_stack(self):
         # A 184-frame cell's whole inverse-FFT stack alone is 1.5 MB; blocks
         # keep the peak, output included, near 1.8 MB.
         spec = stft(AudioBuffer(np.random.default_rng(3).standard_normal(3 * SR), SR))
         assert spec.n_frames == 184
-        resynthesize(spec, 3 * SR)
+        istft(spec, 3 * SR)
         tracemalloc.start()
         try:
-            resynthesize(spec, 3 * SR)
+            istft(spec, 3 * SR)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
