@@ -16,6 +16,7 @@ in place before numpy loads, which ``import voicemask`` does not do.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -45,7 +46,9 @@ from .vtln import FAMILIES, WarpSpec, vtln_transform
 _TRANSFORM_ALGOS = PITCH_ALGORITHMS + FAMILIES
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built on first call; parsing leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(prog="voicemask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -184,6 +187,8 @@ def _cmd_sweep(parser, args) -> int:
     from .experiment import emit_report, run_degree_sweep
 
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
+    if not algos:
+        parser.error(f"--algos names no algorithm; choose from {','.join(ALGORITHMS)}")
     for algo in algos:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from {','.join(ALGORITHMS)}")

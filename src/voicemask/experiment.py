@@ -161,9 +161,13 @@ def run_degree_sweep(
     analysed, or whose speaker is not enrolled, is logged once and left out
     of every cell; a per-cell transform or modeling failure is logged and
     excluded from that cell's n_files. The aggregation is order-independent.
+    No algorithm or no degree, an unknown algorithm or a degree outside
+    0..MAX_DEGREE raises InvalidConfig before any audio is read.
     """
     algorithms = tuple(algorithms)
     degrees = tuple(int(d) for d in degrees)
+    if not algorithms or not degrees:
+        raise InvalidConfig("a sweep needs at least one algorithm and one degree")
     for degree in degrees:
         if not 0 <= degree <= MAX_DEGREE:
             raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")

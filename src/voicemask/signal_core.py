@@ -220,6 +220,7 @@ def read_text(path) -> str:
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
+_U32_MAX = 0xFFFFFFFF  # largest value of a WAV header's rate and size fields
 # A WAVE_FORMAT_EXTENSIBLE SubFormat GUID is a plain format tag (2 bytes,
 # little-endian) followed by these 14 bytes.
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
@@ -302,7 +303,18 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
-    """Write a 16-bit PCM mono WAV; samples are clipped to [-1, 1) first."""
+    """Write a 16-bit PCM mono WAV; samples are clipped to [-1, 1) first.
+
+    The header holds the byte rate (2 × sample rate) and the RIFF sizes in
+    32 bits, so a rate of 2**31 Hz or more, or data past 4 GiB, raises
+    UnsupportedEncoding before the file is opened.
+    """
+    if buf.sample_rate * 2 > _U32_MAX:
+        raise UnsupportedEncoding(
+            f"{path}: sample rate {buf.sample_rate} Hz overflows the header's 32-bit byte rate"
+        )
+    if 36 + buf.samples.size * 2 > _U32_MAX:
+        raise UnsupportedEncoding(f"{path}: {buf.samples.size} samples do not fit a WAV file")
     clipped = np.clip(buf.samples, -1.0, 32767.0 / 32768.0)
     pcm = np.round(clipped * 32768.0).astype("<i2")
     body = pcm.tobytes()

@@ -1,7 +1,15 @@
 import logging
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import voicemask
+import voicemask.cli as cli
 
 from voicemask import (
     PitchShiftSpec,
@@ -186,6 +194,22 @@ class TestTransform:
         assert code == 0
         write_wav(want, pitch_shift(read_wav(tone_wav), PitchShiftSpec(1.3, variant=variant)))
         assert out.read_bytes() == want.read_bytes()
+
+    def test_rate_past_the_wav_header_is_runtime_error(self, capsys, tone_wav, tmp_path):
+        # read_wav takes the rate; write_wav's header would hold 2 * 3e9 in 32 bits.
+        data = bytearray(tone_wav.read_bytes())
+        struct.pack_into("<I", data, 24, 3_000_000_000)
+        fast, out = tmp_path / "fast.wav", tmp_path / "o.wav"
+        fast.write_bytes(data)
+        code, stdout, err = run(
+            capsys, "transform", "--algo", "quadratic", "--alpha", "0.3",
+            "--in", str(fast), "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err == (
+            f"error: {out}: sample rate 3000000000 Hz overflows the header's 32-bit byte rate\n"
+        )
+        assert not out.exists()
 
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
@@ -465,6 +489,79 @@ class TestMainErrorPath:
         monkeypatch.setitem(cli._COMMANDS, "mos", broken)
         with pytest.raises(error, match="not a bad input"):
             main(["mos", "--ratings", str(tmp_path / "r.csv")])
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        cli._build_parser.cache_clear()
+        assert main(["mos", "--ratings", str(tmp_path / "none.csv")]) == 1
+        for argv in (["mos"], ["--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser.cache_info().hits == 2
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(
+        self, capsys, monkeypatch, corpus_dir, tmp_path
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width, on both sides
+        store, wav = str(tmp_path / "models.txt"), str(corpus_dir / "spk00_u01.wav")
+        manifest = str(corpus_dir / "manifest.csv")
+        assert main(["enroll", "--manifest", manifest, "--models", store]) == 0
+        commands = [
+            ["transform", "--algo", "voc", "--in", wav, "--out", "{out}"],  # no selector: exit 2
+            ["--help"],
+            ["mos", "--ratings", str(tmp_path / "none.csv")],  # exit 1
+            ["transform", "--algo", "vocf", "--degree", "7", "--in", wav, "--out", "{out}"],
+            ["identify", "--models", store, "--in", wav],
+            ["gender", "--models", store, "--in", wav],
+            ["sweep", "--help"],
+            ["gender", "--models", store],  # no --in: exit 2
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(voicemask.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        capsys.readouterr()
+        for i, argv in enumerate(commands):
+            here, fresh = tmp_path / f"here{i}.wav", tmp_path / f"fresh{i}.wav"
+            try:
+                code = main([a.format(out=here) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            done = subprocess.run(
+                [sys.executable, "-m", "voicemask.cli", *[a.format(out=fresh) for a in argv]],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (code, captured.out, captured.err) == (
+                done.returncode, done.stdout, done.stderr
+            ), argv
+            assert here.exists() == fresh.exists()
+            if here.exists():
+                assert here.read_bytes() == fresh.read_bytes()
+
+
+class TestSweepFlags:
+    @pytest.mark.parametrize("algos", [",", " , ", ""])
+    def test_no_algorithm_is_usage_error_before_reading_audio(self, capsys, caplog, tmp_path,
+                                                              algos):
+        # None of these files exists: enrolling first would log each as skipped.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "path,speaker_id,gender,partition\n"
+            "a.wav,s0,M,train\nb.wav,s0,M,test\nc.wav,s1,F,train\nd.wav,s1,F,test\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["sweep", "--manifest", str(manifest), "--algos", algos,
+                      "--out", str(tmp_path / "r")])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --algos names no algorithm; choose from voc,vocf,quadratic,bilinear\n"
+        )
+        assert caplog.records == []
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.slow

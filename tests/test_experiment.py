@@ -461,16 +461,29 @@ class TestErrorContract:
         with pytest.raises(InvalidConfig):
             emit_report(SweepResult(()), tmp_path)
 
-    def test_sweep_refuses_an_unknown_algorithm_before_reading_audio(self, tmp_path, caplog):
-        # None of these files exists: enrolling first would log each as skipped.
+    @pytest.fixture()
+    def unread_manifest(self, tmp_path):
+        """A manifest of WAVs that do not exist: enrolling it would log each as skipped."""
         write_manifest(
             tmp_path / "m.csv",
             ["a.wav,s0,M,train", "b.wav,s0,M,test", "c.wav,s1,F,train", "d.wav,s1,F,test"],
         )
-        manifest = load_manifest(tmp_path / "m.csv")
+        return load_manifest(tmp_path / "m.csv")
+
+    def test_sweep_refuses_an_unknown_algorithm_before_reading_audio(self, unread_manifest,
+                                                                     caplog):
         with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
             with pytest.raises(InvalidConfig, match="'mcadams'"):
-                run_degree_sweep(manifest, algorithms=("mcadams",))
+                run_degree_sweep(unread_manifest, algorithms=("mcadams",))
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("algorithms,degrees", [((), (0,)), (("voc",), ())])
+    def test_sweep_refuses_no_algorithm_or_no_degree_before_reading_audio(
+        self, unread_manifest, caplog, algorithms, degrees
+    ):
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            with pytest.raises(InvalidConfig, match="at least one algorithm and one degree"):
+                run_degree_sweep(unread_manifest, algorithms=algorithms, degrees=degrees)
         assert caplog.records == []
 
     @pytest.mark.parametrize("degree", [-1, 26])

@@ -288,6 +288,18 @@ class TestWriteWav:
         write_wav(tmp_path / "b.wav", buf)
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
+    def test_rate_past_the_header_is_refused_before_writing(self, tmp_path):
+        # The header stores the byte rate, 2 * 3e9, in 32 bits.
+        path = tmp_path / "fast.wav"
+        with pytest.raises(UnsupportedEncoding, match="sample rate 3000000000 Hz"):
+            write_wav(path, AudioBuffer(np.zeros(10), 3_000_000_000))
+        assert not path.exists()
+
+    def test_largest_rate_that_fits_round_trips(self, tmp_path):
+        path = tmp_path / "edge.wav"
+        write_wav(path, AudioBuffer(np.zeros(10), 2**31 - 1))
+        assert read_wav(path).sample_rate == 2**31 - 1
+
 
 class TestStft:
     def test_zero_signal_frame_count(self):
