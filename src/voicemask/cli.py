@@ -46,6 +46,15 @@ from .vtln import FAMILIES, WarpSpec, vtln_transform
 _TRANSFORM_ALGOS = PITCH_ALGORITHMS + FAMILIES
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is then, not as it was at set-up."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
+_WARNINGS = _StderrHandler()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The program's parser, built on first call; parsing leaves it unchanged, so calls share it."""
@@ -229,7 +238,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
+    logging.getLogger("voicemask").addHandler(_WARNINGS)  # once: a second add is a no-op
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

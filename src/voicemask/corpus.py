@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,9 +255,57 @@ def _highband_noise(rng, n_samples: int, corner_hz: float, fs: int) -> np.ndarra
     return shaped / np.sqrt(np.mean(shaped**2))
 
 
-def _render_utterance(
-    rng, f0: float, profiles, gender: str, noise_gain: float, emphasis, wobble: float,
+_FLUTTER_POINTS = max(2, int(np.ceil(_SYNTH_SECONDS * 7.0)) + 1)  # per-harmonic gain controls
+
+
+def _flutter_grid():
+    """Read-only (left, frac, 1 - frac, ctrl_start) for the flutter interpolation.
+
+    Each sample's control interval and its place in it, and each interval's
+    first sample. Only the utterance length sets them, so a corpus builds
+    them once and every render reads them.
+    """
+    n_ctrl = _FLUTTER_POINTS
+    t_pos = np.linspace(0.0, n_ctrl - 1.0, int(_SYNTH_SECONDS * _SYNTH_RATE))
+    left = np.minimum(t_pos.astype(np.intp), n_ctrl - 2)
+    frac = t_pos - left
+    grid = (left, frac, 1.0 - frac, np.searchsorted(left, np.arange(n_ctrl)))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _draw_utterance(
+    rng, grid, f0: float, profiles, gender: str, noise_gain: float, emphasis, wobble: float,
     flutter: float, tilt_wobble: float,
+):
+    """One utterance's renderer with its random draws bound, drawn in the stream's order.
+
+    Calling the result renders the samples; it touches no generator, so any
+    thread may call it.
+    """
+    fs = _SYNTH_RATE
+    total = int(_SYNTH_SECONDS * fs)
+    n_harm = int(_MAX_HARMONIC_HZ / (f0 * (1.0 + 2.0 * wobble)))
+    # Arguments are evaluated left to right, which is the draw order.
+    return partial(
+        _render_utterance, grid, f0, profiles, gender, noise_gain, emphasis, wobble, flutter,
+        tilt_wobble,
+        weight_jitter=rng.standard_normal(_SEGMENTS_PER_UTT),
+        f0_noise=_smooth_noise(rng, total, 18.0, fs),
+        harmonic_phases=rng.uniform(0.0, 2.0 * np.pi, n_harm),
+        flutter_coarse=rng.standard_normal((n_harm, _FLUTTER_POINTS)),
+        slope_noise=_smooth_noise(rng, total, _TILT_RATE_HZ, fs) if tilt_wobble > 0.0 else None,
+        am_noise=_smooth_noise(rng, total, 8.0, fs),
+        noise=_highband_noise(rng, total, _NOISE_CORNER_HZ[gender], fs),
+        noise_am=_smooth_noise(rng, total, 6.0, fs),
+    )
+
+
+def _render_utterance(
+    grid, f0: float, profiles, gender: str, noise_gain: float, emphasis, wobble: float,
+    flutter: float, tilt_wobble: float, *, weight_jitter, f0_noise, harmonic_phases,
+    flutter_coarse, slope_noise, am_noise, noise, noise_am,
 ) -> np.ndarray:
     fs = _SYNTH_RATE
     total = int(_SYNTH_SECONDS * fs)
@@ -264,29 +315,20 @@ def _render_utterance(
     # per-profile emphasis tilts the dwell times, small jitter per utterance.
     order = [profiles[i % len(profiles)] for i in range(_SEGMENTS_PER_UTT)]
     weights = np.array([emphasis[i % len(profiles)] for i in range(_SEGMENTS_PER_UTT)])
-    weights = weights * (1.0 + 0.04 * rng.standard_normal(_SEGMENTS_PER_UTT))
+    weights = weights * (1.0 + 0.04 * weight_jitter)
     bounds = np.round(np.cumsum(weights) / weights.sum() * total).astype(int)
     starts = np.concatenate([[0], bounds[:-1]])
 
-    f0_track = f0 * (1.0 + wobble * _smooth_noise(rng, total, 18.0, fs))
+    f0_track = f0 * (1.0 + wobble * f0_noise)
     phase = 2.0 * np.pi * np.cumsum(f0_track) / fs
 
-    n_harm = int(_MAX_HARMONIC_HZ / (f0 * (1.0 + 2.0 * wobble)))
-    harmonic_phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
+    n_harm = len(harmonic_phases)
     k = np.arange(1, n_harm + 1)
-
-    # slow independent gain flutter per harmonic
-    n_ctrl = max(2, int(np.ceil(_SYNTH_SECONDS * 7.0)) + 1)
-    coarse = rng.standard_normal((n_harm, n_ctrl))
-    t_pos = np.linspace(0.0, n_ctrl - 1.0, total)
-    left = np.minimum(t_pos.astype(np.intp), n_ctrl - 2)
-    frac = t_pos - left
-    rest = 1.0 - frac
-    ctrl_start = np.searchsorted(left, np.arange(n_ctrl))  # first sample of each interval
+    left, frac, rest, ctrl_start = grid  # slow independent gain flutter per harmonic
 
     # slow spectral-tilt wobble: smooth, band-correlated level variation
-    if tilt_wobble > 0.0:
-        slope = tilt_wobble * _smooth_noise(rng, total, _TILT_RATE_HZ, fs)
+    if slope_noise is not None:
+        slope = tilt_wobble * slope_noise
         log_freq = np.log(k * f0 / 1000.0)
 
     # Each segment's flutter tracks, tilt factor and harmonic grid are built
@@ -295,9 +337,6 @@ def _render_utterance(
     # cache. Every element gets the operations of the whole-grid form in the
     # same order, and einsum's operand order fixes its products and its sum
     # over k, so the samples keep their bits (tests/test_synth_oracle.py).
-    # Up to the einsum every step is elementwise per harmonic, so half of a
-    # segment's harmonic rows (flutter, tilt exp, cos) run on a second core
-    # (signal_core._split_rows).
     voiced = np.zeros(total)
     for seg, (start, end) in enumerate(zip(starts, bounds)):
         lo = max(0, start - fade // 2)
@@ -306,26 +345,21 @@ def _render_utterance(
         formants = order[seg]
         amps = _resonance_envelope(k * f0, formants, _SOURCE_TILT_HZ[gender])
         tracks = np.empty((n_harm, length))
-        work = np.empty((n_harm, length))
-
-        def harmonics(rows):
-            track, chunk = tracks[rows], work[rows]
-            for j in range(left[lo], left[hi - 1] + 1):
-                a, b = max(ctrl_start[j], lo), min(ctrl_start[j + 1], hi)
-                np.multiply(coarse[rows, j, None], rest[a:b], out=track[:, a - lo : b - lo])
-                np.multiply(coarse[rows, j + 1, None], frac[a:b], out=chunk[:, a - lo : b - lo])
-            track += chunk
-            track *= flutter
-            track += 1.0
-            if tilt_wobble > 0.0:
-                np.multiply(log_freq[rows, None], slope[lo:hi], out=chunk)
-                track *= np.exp(chunk, out=chunk)
-            np.multiply(k[rows, None], phase[lo:hi], out=chunk)
-            chunk += harmonic_phases[rows, None]
-            np.cos(chunk, out=chunk)
-
-        signal_core._split_rows(harmonics, n_harm)
-        segment = np.einsum("k,kl,kl->l", amps, tracks, work)
+        chunk = np.empty((n_harm, length))
+        for j in range(left[lo], left[hi - 1] + 1):
+            a, b = max(ctrl_start[j], lo), min(ctrl_start[j + 1], hi)
+            np.multiply(flutter_coarse[:, j, None], rest[a:b], out=tracks[:, a - lo : b - lo])
+            np.multiply(flutter_coarse[:, j + 1, None], frac[a:b], out=chunk[:, a - lo : b - lo])
+        tracks += chunk
+        tracks *= flutter
+        tracks += 1.0
+        if slope_noise is not None:
+            np.multiply(log_freq[:, None], slope[lo:hi], out=chunk)
+            tracks *= np.exp(chunk, out=chunk)
+        np.multiply(k[:, None], phase[lo:hi], out=chunk)
+        chunk += harmonic_phases[:, None]
+        np.cos(chunk, out=chunk)
+        segment = np.einsum("k,kl,kl->l", amps, tracks, chunk)
         ramp = np.ones(length)
         edge = np.minimum(fade, length // 2)
         if edge > 0:
@@ -334,37 +368,15 @@ def _render_utterance(
             ramp[length - edge :] = shape[::-1]
         voiced[lo:hi] += segment * ramp
 
-    voiced *= 1.0 + _AM_WOBBLE[gender] * _smooth_noise(rng, total, 8.0, fs)
+    voiced *= 1.0 + _AM_WOBBLE[gender] * am_noise
     rms = np.sqrt(np.mean(voiced**2))
-    noise = _highband_noise(rng, total, _NOISE_CORNER_HZ[gender], fs)
-    noise *= 1.0 + _NOISE_AM[gender] * _smooth_noise(rng, total, 6.0, fs)
+    noise = noise * (1.0 + _NOISE_AM[gender] * noise_am)
     signal = voiced + noise * _NOISE_LEVEL[gender] * noise_gain * rms
     return signal * (0.35 / np.max(np.abs(signal)))
 
 
-def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_dir) -> CorpusManifest:
-    """Generate a deterministic source-filter corpus and its manifest.
-
-    Speakers alternate male/female; each gets a fixed fundamental drawn from
-    its gender's range, per-speaker formant offsets, and small per-utterance
-    jitter. Utterance 0 is the train partition, the rest are test. A
-    directory or file that cannot be written is IoFailure.
-    """
-    if seed < 0:  # numpy's seeding refuses it with a plain ValueError
-        raise InvalidConfig(f"seed must be non-negative, got {seed}")
-    if n_speakers % 2 != 0:
-        raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
-    if n_speakers < 2:
-        raise InvalidConfig(f"need at least 2 speakers, got {n_speakers}")
-    if utterances_per_speaker < 2:
-        raise InvalidConfig(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
-    rng = np.random.default_rng(seed)
-    entries = []
+def _draw_corpus(rng, grid, n_speakers: int, utterances_per_speaker: int, out_dir: Path):
+    """Each utterance's manifest entry and bound renderer, in manifest order, from one stream."""
     mean_profile = np.mean(_BASE_PROFILES, axis=0)
     for i in range(n_speakers):
         gender = "M" if i % 2 == 0 else "F"
@@ -398,16 +410,68 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
                 )
                 for prof in profiles
             ]
-            samples = _render_utterance(
-                rng, f0, utt_profiles, gender, noise_gain, emphasis, wobble, flutter,
+            render = _draw_utterance(
+                rng, grid, f0, utt_profiles, gender, noise_gain, emphasis, wobble, flutter,
                 tilt_wobble,
             )
-            name = f"{speaker}_u{u:02d}.wav"
-            # Through the module: perfbench's --trace spans rebind write_wav in
-            # the modules it knows, and this one is not among them.
-            signal_core.write_wav(out_dir / name, AudioBuffer(samples, _SYNTH_RATE))
-            partition = "train" if u == 0 else "test"
-            entries.append(ManifestEntry(out_dir / name, speaker, gender, partition))
+            path = out_dir / f"{speaker}_u{u:02d}.wav"
+            yield ManifestEntry(path, speaker, gender, "train" if u == 0 else "test"), render
+
+
+def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_dir) -> CorpusManifest:
+    """Generate a deterministic source-filter corpus and its manifest.
+
+    Speakers alternate male/female; each gets a fixed fundamental drawn from
+    its gender's range, per-speaker formant offsets, and small per-utterance
+    jitter. Utterance 0 is the train partition, the rest are test. A
+    directory or file that cannot be written is IoFailure.
+
+    The calling thread draws every random number, from one stream, and
+    writes every file, in manifest order. With two or more usable CPUs a
+    thread pool renders the drawn utterances, one per worker, with at most
+    two per worker drawn and not yet written. The bytes do not depend on the
+    CPU count.
+    """
+    if seed < 0:  # numpy's seeding refuses it with a plain ValueError
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
+    if n_speakers % 2 != 0:
+        raise InvalidConfig(f"n_speakers must be even, got {n_speakers}")
+    if n_speakers < 2:
+        raise InvalidConfig(f"need at least 2 speakers, got {n_speakers}")
+    if utterances_per_speaker < 2:
+        raise InvalidConfig(f"need at least 2 utterances per speaker, got {utterances_per_speaker}")
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
+    rng = np.random.default_rng(seed)
+    workers = min(signal_core._usable_cpus(), n_speakers * utterances_per_speaker)
+    entries = []
+    pending = deque()  # (path, samples when called): drawn but not yet written
+
+    def write(path, samples):
+        # Through the module: perfbench's --trace spans rebind write_wav in
+        # the modules it knows, and this one is not among them. The spans
+        # are not thread-safe, so every write stays on this thread.
+        signal_core.write_wav(path, AudioBuffer(samples(), _SYNTH_RATE))
+
+    with ExitStack() as stack:
+        pool = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(workers)
+            # On an error, drop the renders not yet started and join the rest.
+            stack.callback(pool.shutdown, cancel_futures=True)
+        draws = _draw_corpus(rng, _flutter_grid(), n_speakers, utterances_per_speaker, out_dir)
+        for entry, render in draws:
+            entries.append(entry)
+            pending.append((entry.path, render if pool is None else pool.submit(render).result))
+            if len(pending) == 2 * workers:
+                write(*pending.popleft())
+        for path, samples in pending:
+            write(path, samples)
 
     manifest = out_dir / "manifest.csv"
     try:

@@ -9,9 +9,9 @@ import pytest
 def no_thread_outlives_the_test():
     """Fail a test that leaves a thread running which it did not find.
 
-    Library calls that use a helper thread (``signal_core._split_rows``)
-    join it before they return, so a process can fork after any call
-    without copying a half-finished thread.
+    Library calls that use threads (``signal_core._split_rows``'s helper,
+    ``synth_corpus``'s render pool) join them before they return, so a
+    process can fork after any call without copying a half-finished thread.
     """
     before = set(threading.enumerate())
     yield

@@ -1,8 +1,10 @@
+import io
 import logging
 import os
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +543,25 @@ class TestParserReuse:
             if here.exists():
                 assert here.read_bytes() == fresh.read_bytes()
 
+
+class TestWarningStream:
+    def test_each_call_warns_on_the_stderr_it_runs_under(self, tmp_path):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("listener_id,file_id,algorithm,degree,rating\nl0,f0,voc,7,4\n")
+        manifest = synth_corpus(11, 4, 2, tmp_path / "corpus")
+        missing = manifest.train_entries()[2].path
+        missing.unlink()
+        first, second = io.StringIO(), io.StringIO()
+        with redirect_stdout(io.StringIO()):
+            with redirect_stderr(first):
+                assert main(["mos", "--ratings", str(ratings)]) == 0
+            with redirect_stderr(second):
+                assert main(["enroll", "--manifest", str(tmp_path / "corpus" / "manifest.csv"),
+                             "--models", str(tmp_path / "models.txt")]) == 0
+        assert first.getvalue() == ""
+        warning = second.getvalue()
+        assert warning.startswith(f"skipping {missing}: cannot read {missing}")
+        assert warning.count("\n") == 1
 
 class TestSweepFlags:
     @pytest.mark.parametrize("algos", [",", " , ", ""])

@@ -73,7 +73,7 @@ def render_both(seed, args):
     """Both renderers on one argument set, each with a generator seeded alike."""
     rng_new = np.random.default_rng([seed, 1])
     rng_ref = np.random.default_rng([seed, 1])
-    new = corpus._render_utterance(rng_new, *args)
+    new = corpus._draw_utterance(rng_new, corpus._flutter_grid(), *args)()
     ref = synth_reference.render_utterance(rng_ref, *args)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     return new, ref
@@ -94,13 +94,14 @@ class TestRendererOracle:
         synth_corpus(7, 4, 2, tmp_path / "new")
         calls = []
 
-        def reference(*args):
+        def reference(rng, grid, *args):
             calls.append(args)
-            return synth_reference.render_utterance(*args)
+            samples = synth_reference.render_utterance(rng, *args)
+            return lambda: samples
 
-        # synth_corpus looks the renderer up in its own module; a patch that
+        # synth_corpus looks the draw up in its own module; a patch that
         # missed it would compare the library with itself.
-        monkeypatch.setattr(corpus, "_render_utterance", reference)
+        monkeypatch.setattr(corpus, "_draw_utterance", reference)
         synth_corpus(7, 4, 2, tmp_path / "ref")
         assert len(calls) == 8
         names = sorted(p.name for p in (tmp_path / "new").iterdir())

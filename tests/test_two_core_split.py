@@ -1,18 +1,22 @@
-"""The two-core row split: ``signal_core._split_rows`` and the kernels using it.
+"""Work on two or more cores: the warp's row split and the corpus's render pool.
 
-The warp resampler and the synthetic-corpus renderer hand half of their rows
-to a helper thread when the process may run on two or more CPUs. Each test
-forces the path it needs by patching the helper's CPU count, so the
+The warp resampler hands half of its rows to a helper thread
+(``signal_core._split_rows``), and ``synth_corpus`` renders utterances on a
+thread pool, when the process may run on two or more CPUs. Each test
+forces the path it needs by patching ``signal_core._usable_cpus``, so the
 threaded path runs even on a one-CPU machine and the serial path on any.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import voicemask.corpus as corpus
 import voicemask.signal_core as signal_core
 from voicemask import AudioBuffer, WarpSpec, analyse_warp, synth_corpus, warp_analysed
+from voicemask.errors import IoFailure
 from voicemask.signal_core import _split_rows
 
 from helpers import SR, make_vowel
@@ -129,3 +133,99 @@ class TestThreadedEqualsSerial:
         threaded, serial = threaded_and_serial(monkeypatch, run)
         assert len(threaded) == 5
         assert threaded == serial
+
+
+def corpus_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestSynthPool:
+    """``synth_corpus`` draws and writes on the calling thread and renders on a pool."""
+
+    @pytest.mark.parametrize("seed,speakers,utts", [(3, 2, 2), (7, 4, 2)])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, seed, speakers,
+                                                  utts):
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
+        try:
+            for cpus in (1, 2, 16):  # 16: more workers than cores, and than utterances
+                use_cpus(monkeypatch, cpus)
+                synth_corpus(seed, speakers, utts, tmp_path / f"cpus{cpus}")
+                runs.append(corpus_files(tmp_path / f"cpus{cpus}"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs[0]) == speakers * utts + 1
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_write_is_on_the_calling_thread_in_manifest_order(self, monkeypatch, tmp_path,
+                                                                    cpus):
+        writes, renders = [], []
+        real_write, real_render = signal_core.write_wav, corpus._render_utterance
+
+        def write_wav(path, buf):
+            writes.append((threading.current_thread(), path))
+            real_write(path, buf)
+
+        def render(*args, **draws):
+            renders.append(threading.current_thread())
+            return real_render(*args, **draws)
+
+        monkeypatch.setattr(signal_core, "write_wav", write_wav)
+        monkeypatch.setattr(corpus, "_render_utterance", render)
+        use_cpus(monkeypatch, cpus)
+        manifest = synth_corpus(7, 4, 2, tmp_path)
+        caller = threading.current_thread()
+        assert writes == [(caller, e.path) for e in manifest.entries]
+        # one CPU: no thread at all; two: every render on a pool worker
+        assert all((t is caller) == (cpus == 1) for t in renders) and len(renders) == 8
+
+    @pytest.mark.parametrize("cpus", [1, 2, 16])
+    def test_at_most_two_utterances_per_worker_are_drawn_and_not_written(self, monkeypatch,
+                                                                        tmp_path, cpus):
+        drawn, written, in_flight = [], [], []
+        real_draw, real_write = corpus._draw_utterance, signal_core.write_wav
+
+        def draw(*args):
+            drawn.append(real_draw(*args))
+            in_flight.append(len(drawn) - len(written))
+            return drawn[-1]
+
+        def write_wav(path, buf):
+            written.append(path)
+            real_write(path, buf)
+
+        monkeypatch.setattr(corpus, "_draw_utterance", draw)
+        monkeypatch.setattr(signal_core, "write_wav", write_wav)
+        use_cpus(monkeypatch, cpus)
+        synth_corpus(7, 4, 2, tmp_path)
+        assert max(in_flight) == min(2 * cpus, 8)
+
+    @pytest.mark.parametrize("cpus", [2, 16])
+    def test_a_failed_write_stops_the_pool_as_it_stops_the_serial_loop(self, monkeypatch,
+                                                                       tmp_path, cpus):
+        real_write = signal_core.write_wav
+
+        def run(cpus, out):
+            calls = []
+
+            def write_wav(path, buf):
+                calls.append(path)
+                if len(calls) == 3:
+                    raise IoFailure(f"cannot write {path.name}: disk full")
+                real_write(path, buf)
+
+            monkeypatch.setattr(signal_core, "write_wav", write_wav)
+            use_cpus(monkeypatch, cpus)
+            threads = threading.active_count()
+            with pytest.raises(IoFailure) as failed:
+                synth_corpus(7, 4, 2, out)
+            assert threading.active_count() == threads
+            return str(failed.value), corpus_files(out)
+
+        pooled = run(cpus, tmp_path / "pooled")
+        serial = run(1, tmp_path / "serial")
+        assert pooled == serial
+        assert pooled[0] == "cannot write spk01_u00.wav: disk full"
+        assert sorted(pooled[1]) == ["spk00_u00.wav", "spk00_u01.wav"]
