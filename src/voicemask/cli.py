@@ -187,7 +187,7 @@ def _format_crossover(curve) -> str:
     from .experiment import find_crossover
 
     try:
-        return f"{find_crossover(curve):.1f}"
+        return f"{find_crossover(curve):.1f}" if curve else "-"
     except NoCrossover:
         return "-"
 
@@ -198,9 +198,11 @@ def _cmd_sweep(parser, args) -> int:
     algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
     if not algos:
         parser.error(f"--algos names no algorithm; choose from {','.join(ALGORITHMS)}")
-    for algo in algos:
+    for i, algo in enumerate(algos):
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from {','.join(ALGORITHMS)}")
+        if algo in algos[:i]:
+            parser.error(f"--algos names {algo!r} twice")
     degrees = _parse_degrees(parser, args.degrees)
     manifest = load_manifest(args.manifest)
     result = run_degree_sweep(manifest, algos, degrees)

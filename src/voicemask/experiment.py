@@ -4,7 +4,7 @@ A sweep enrolls covariance models on unmodified training audio, then applies
 each algorithm at every modification degree to the test files and records
 gender-classification and top-1 identification success rates per
 (algorithm, gender, degree). Manifests, degree schedules and the synthetic
-corpus live in ``corpus`` and are re-exported here.
+corpus live in ``corpus``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+# load_manifest and synth_corpus are unused here: perfbench's tracer spans them on this module.
 from .corpus import (
     ALGORITHMS,
     MAX_DEGREE,
-    PITCH_ALGORITHMS,
     CorpusManifest,
     DegreeSchedule,
     ManifestEntry,
@@ -47,17 +47,9 @@ from .speaker_id import (
 )
 
 __all__ = [
-    "ALGORITHMS",
-    "PITCH_ALGORITHMS",
-    "MAX_DEGREE",
-    "ManifestEntry",
-    "CorpusManifest",
-    "DegreeSchedule",
     "SweepRow",
     "SweepResult",
     "MosTable",
-    "load_manifest",
-    "synth_corpus",
     "enroll",
     "run_degree_sweep",
     "find_crossover",
@@ -150,6 +142,40 @@ def enroll(manifest: CorpusManifest) -> tuple[list[SpeakerModel], SpeakerModel, 
     return speakers, male, female
 
 
+def _sweep_file(entry: ManifestEntry, schedules, degrees, models):
+    """One test file's cells: ``(hits, skips)``. Logs nothing and keeps no state.
+
+    ``models`` is what enroll returns. ``hits`` maps each completed cell's
+    (algorithm, gender, degree) to (gender hits, identification hits, 1);
+    ``skips`` holds the warning texts in the order they arose.
+    """
+    enrolled, male, female = models
+    if entry.speaker_id not in {model.label for model in enrolled}:
+        return {}, [f"skipping {entry.path}: speaker {entry.speaker_id} is not enrolled"]
+    analysers = {schedule.family: schedule.analyse for schedule in schedules}
+    try:
+        buf = read_wav(entry.path)
+        analyses = {family: analyse(buf) for family, analyse in analysers.items()}
+    except VoicemaskError as exc:
+        return {}, [f"skipping {entry.path}: {exc}"]
+    hits, skips = {}, []
+    for schedule in schedules:
+        algo = schedule.algorithm
+        for degree in degrees:
+            try:
+                modified = schedule.apply(analyses[schedule.family], degree, entry.gender)
+                test_model = covariance_model(extract_cepstra(modified), label="probe")
+                decided, _ = classify_gender(test_model, male, female)
+                top_label = identify_speaker(test_model, enrolled)[0][0]
+            except VoicemaskError as exc:
+                skips.append(f"skipping {entry.path} / {algo} / degree {degree}: {exc}")
+                continue
+            hits[algo, entry.gender, degree] = (
+                int(decided == entry.gender), int(top_label == entry.speaker_id), 1
+            )
+    return hits, skips
+
+
 def run_degree_sweep(
     corpus: CorpusManifest, algorithms=ALGORITHMS, degrees=tuple(range(26))
 ) -> SweepResult:
@@ -157,12 +183,14 @@ def run_degree_sweep(
 
     Models are enrolled on unmodified train audio only (see enroll). Each
     test file is read and analysed once per transform family, then modified
-    at every (algorithm, degree) cell. A file that cannot be read or
-    analysed, or whose speaker is not enrolled, is logged once and left out
-    of every cell; a per-cell transform or modeling failure is logged and
-    excluded from that cell's n_files. The aggregation is order-independent.
-    No algorithm or no degree, an unknown algorithm or a degree outside
-    0..MAX_DEGREE raises InvalidConfig before any audio is read.
+    at every (algorithm, degree) cell (see _sweep_file); the files' skips are
+    logged in manifest order and their hits summed by cell. A file that
+    cannot be read or analysed, or whose speaker is not enrolled, is left
+    out of every cell; a per-cell transform or modeling failure is excluded
+    from that cell's n_files. The aggregation is order-independent. No
+    algorithm or no degree, an unknown or repeated algorithm, a repeated
+    degree or one outside 0..MAX_DEGREE raises InvalidConfig before any
+    audio is read.
     """
     algorithms = tuple(algorithms)
     degrees = tuple(int(d) for d in degrees)
@@ -171,45 +199,21 @@ def run_degree_sweep(
     for degree in degrees:
         if not 0 <= degree <= MAX_DEGREE:
             raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+    if len(set(algorithms)) < len(algorithms) or len(set(degrees)) < len(degrees):
+        raise InvalidConfig(f"a sweep names each algorithm and degree once: {algorithms} {degrees}")
     # An unknown algorithm is refused here, before any audio is read.
     schedules = [DegreeSchedule(algo) for algo in algorithms]
-    enrolled, male, female = enroll(corpus)
-    labels = {model.label for model in enrolled}
-    analysers = {schedule.family: schedule for schedule in schedules}
-
+    models = enroll(corpus)
     counts: dict[tuple[str, str, int], list[int]] = {}
     for entry in corpus.test_entries():
-        if entry.speaker_id not in labels:
-            log.warning("skipping %s: speaker %s is not enrolled", entry.path, entry.speaker_id)
-            continue
-        try:
-            buf = read_wav(entry.path)
-            analyses = {family: s.analyse(buf) for family, s in analysers.items()}
-        except VoicemaskError as exc:
-            log.warning("skipping %s: %s", entry.path, exc)
-            continue
-        for schedule in schedules:
-            algo = schedule.algorithm
-            for degree in degrees:
-                try:
-                    modified = schedule.apply(analyses[schedule.family], degree, entry.gender)
-                    feats = extract_cepstra(modified)
-                    test_model = covariance_model(feats, label="probe")
-                    decided, _ = classify_gender(test_model, male, female)
-                    top_label = identify_speaker(test_model, enrolled)[0][0]
-                except VoicemaskError as exc:
-                    log.warning("skipping %s / %s / degree %d: %s", entry.path, algo, degree, exc)
-                    continue
-                cell = counts.setdefault((algo, entry.gender, degree), [0, 0, 0])
-                cell[0] += decided == entry.gender
-                cell[1] += top_label == entry.speaker_id
-                cell[2] += 1
-        del analyses  # free this file's analyses before the next file's are built
-
+        hits, skips = _sweep_file(entry, schedules, degrees, models)
+        for message in skips:
+            log.warning("%s", message)
+        for key, cell in hits.items():
+            counts[key] = [a + b for a, b in zip(counts.get(key, (0, 0, 0)), cell)]
     rows = [
         SweepRow(algo, gender, degree, hits_g / n, hits_i / n, n)
         for (algo, gender, degree), (hits_g, hits_i, n) in sorted(counts.items())
-        if n > 0
     ]
     return SweepResult(tuple(rows))
 
@@ -313,17 +317,27 @@ def emit_report(result: SweepResult, out_dir) -> None:
 
 
 def load_sweep(path) -> SweepResult:
-    """Read back a sweep.csv written by emit_report."""
+    """Read back a sweep.csv written by emit_report; a row it cannot have written is ParseError.
+
+    Such a row names an unknown algorithm, gender or degree, a rate outside
+    [0, 1] (nan included), or an n_files outside 1..2**53 (past which counts
+    are not exact floats, and curve's weighted sums could overflow).
+    """
     rows = []
     for line, row in _read_csv(path, _SWEEP_HEADER, EmptyInput("sweep file is empty")):
         if len(row) != 6:
             raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
         try:
-            rows.append(
-                SweepRow(row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5]))
-            )
+            degree, rates, n_files = int(row[2]), (float(row[3]), float(row[4])), int(row[5])
         except ValueError as exc:
             raise ParseError(str(exc), line=line) from None
+        if row[0] not in ALGORITHMS or row[1] not in ("M", "F") or not 0 <= degree <= MAX_DEGREE:
+            raise ParseError(f"no sweep cell is {row[0]!r}, {row[1]!r}, {row[2]}", line=line)
+        if not all(0.0 <= rate <= 1.0 for rate in rates):
+            raise ParseError(f"rates must be in [0, 1], got {row[3]} and {row[4]}", line=line)
+        if not 1 <= n_files <= 2**53:
+            raise ParseError(f"n_files must be in 1..2**53, got {row[5]}", line=line)
+        rows.append(SweepRow(row[0], row[1], degree, *rates, n_files))
     return SweepResult(tuple(rows))
 
 

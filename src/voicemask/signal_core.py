@@ -65,11 +65,6 @@ class AudioBuffer:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
 
 def _window_samples(kind: str, n: int) -> np.ndarray:
     # Periodic windows: the COLA property holds for hop = n / 2^k.

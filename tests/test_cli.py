@@ -564,9 +564,17 @@ class TestWarningStream:
         assert warning.count("\n") == 1
 
 class TestSweepFlags:
-    @pytest.mark.parametrize("algos", [",", " , ", ""])
-    def test_no_algorithm_is_usage_error_before_reading_audio(self, capsys, caplog, tmp_path,
-                                                              algos):
+    @pytest.mark.parametrize(
+        "algos,message",
+        [
+            (",", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            (" , ", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            ("", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            ("voc,vocf,voc", "--algos names 'voc' twice"),
+        ],
+    )
+    def test_bad_algos_are_usage_errors_before_reading_audio(self, capsys, caplog, tmp_path,
+                                                             algos, message):
         # None of these files exists: enrolling first would log each as skipped.
         manifest = tmp_path / "m.csv"
         manifest.write_text(
@@ -578,9 +586,7 @@ class TestSweepFlags:
                 main(["sweep", "--manifest", str(manifest), "--algos", algos,
                       "--out", str(tmp_path / "r")])
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "error: --algos names no algorithm; choose from voc,vocf,quadratic,bilinear\n"
-        )
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
         assert caplog.records == []
         assert not (tmp_path / "r").exists()
 
@@ -603,6 +609,27 @@ class TestSweepCommand:
             assert value == "-"
         csv_text = (out_dir / "sweep.csv").read_text()
         assert len(csv_text.strip().split("\n")) == 1 + 2 * 2  # header + algos x genders
+
+    def test_a_gender_without_a_completed_cell_prints_dashes(self, capsys, tmp_path):
+        manifest = synth_corpus(2, 4, 2, tmp_path / "corpus")
+        for entry in manifest.test_entries():
+            if entry.gender == "M":
+                entry.path.write_bytes(b"junk")
+        out_dir = tmp_path / "report"
+        code, out, err = run(
+            capsys, "sweep", "--manifest", str(tmp_path / "corpus" / "manifest.csv"),
+            "--algos", "voc,quadratic", "--degrees", "0..2", "--out", str(out_dir),
+        )
+        assert code == 0, err
+        assert err.count("\n") == 2 and "error" not in err
+        lines = [line.split() for line in out.strip().split("\n")]
+        assert [line[:2] for line in lines] == [
+            [algo, label] for algo in ("voc", "quadratic") for label in ("M", "F", "id")
+        ]
+        assert [line[2] for line in lines if line[1] == "M"] == ["-", "-"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "sweep.csv", "sweep_quadratic.svg", "sweep_voc.svg"
+        ]
 
     def test_sweep_out_under_a_file_is_io_failure(self, capsys, corpus_dir, under_a_file):
         code, out, err = run(

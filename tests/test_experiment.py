@@ -1,5 +1,6 @@
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from voicemask.errors import (
     InvalidConfig,
     InvariantViolation,
     NoCrossover,
+    NotPositiveDefinite,
     ParseError,
 )
 
@@ -438,6 +440,97 @@ class TestSweepContract:
             assert message == f"skipping {path}: speaker {bad.speaker_id} is not enrolled"
 
 
+@pytest.fixture(scope="module")
+def enrolled_corpus(tmp_path_factory):
+    """A 4-speaker corpus and what enroll returns for it."""
+    manifest = synth_corpus(11, 4, 2, tmp_path_factory.mktemp("unit_corpus"))
+    return manifest, experiment.enroll(manifest)
+
+
+class TestSweepFile:
+    """The per-file unit: one test file's integer hits per cell and its skip texts."""
+
+    SCHEDULES = (DegreeSchedule("voc"), DegreeSchedule("quadratic"))
+    DEGREES = (0, 10)
+
+    def sweep_file(self, entry, models):
+        return experiment._sweep_file(entry, self.SCHEDULES, self.DEGREES, models)
+
+    def test_a_good_file_counts_every_cell_once(self, enrolled_corpus, caplog):
+        manifest, models = enrolled_corpus
+        entry = manifest.test_entries()[0]
+        with caplog.at_level(logging.DEBUG):
+            hits, skips = self.sweep_file(entry, models)
+        assert caplog.records == []
+        assert skips == []
+        assert list(hits) == [
+            (algo, entry.gender, degree) for algo in ("voc", "quadratic") for degree in self.DEGREES
+        ]
+        for cell in hits.values():
+            assert [type(count) for count in cell] == [int, int, int]
+            assert cell[0] in (0, 1) and cell[1] in (0, 1) and cell[2] == 1
+        assert hits["voc", entry.gender, 0] == (1, 1, 1)
+
+    def test_an_unreadable_file_has_no_cell_and_one_skip(self, enrolled_corpus, tmp_path, caplog):
+        manifest, models = enrolled_corpus
+        entry = manifest.test_entries()[1]
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk")
+        with caplog.at_level(logging.DEBUG):
+            hits, skips = self.sweep_file(ManifestEntry(junk, entry.speaker_id, "F", "test"), models)
+        assert caplog.records == []
+        assert hits == {}
+        assert len(skips) == 1 and skips[0].startswith(f"skipping {junk}: ")
+
+    def test_an_unenrolled_speaker_is_skipped_before_reading(self, enrolled_corpus, caplog):
+        _, models = enrolled_corpus
+        absent = Path("no/such/file.wav")
+        with caplog.at_level(logging.DEBUG):
+            hits, skips = self.sweep_file(ManifestEntry(absent, "spk99", "M", "test"), models)
+        assert caplog.records == []
+        assert (hits, skips) == ({}, [f"skipping {absent}: speaker spk99 is not enrolled"])
+
+    def test_failing_cells_are_skipped_in_cell_order(self, enrolled_corpus, monkeypatch, caplog):
+        manifest, models = enrolled_corpus
+        entry = manifest.test_entries()[2]
+        calls = []
+        original = experiment.covariance_model
+
+        def fails_at_degree_10(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 2 == 0:  # cells run voc 0, voc 10, quadratic 0, quadratic 10
+                raise NotPositiveDefinite("boom")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "covariance_model", fails_at_degree_10)
+        with caplog.at_level(logging.DEBUG):
+            hits, skips = self.sweep_file(entry, models)
+        assert caplog.records == []
+        assert list(hits) == [("voc", entry.gender, 0), ("quadratic", entry.gender, 0)]
+        assert skips == [
+            f"skipping {entry.path} / voc / degree 10: boom",
+            f"skipping {entry.path} / quadratic / degree 10: boom",
+        ]
+
+    def test_summed_over_the_test_files_it_gives_the_sweep(self, tmp_path, caplog):
+        manifest = synth_corpus(11, 4, 2, tmp_path)
+        manifest.test_entries()[1].path.write_bytes(b"\x00" * 8)
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            result = run_degree_sweep(manifest, ("voc", "quadratic"), self.DEGREES)
+        counts, skips = {}, []
+        models = experiment.enroll(manifest)
+        for entry in manifest.test_entries():
+            hits, file_skips = self.sweep_file(entry, models)
+            skips += file_skips
+            for key, cell in hits.items():
+                counts[key] = [a + b for a, b in zip(counts.get(key, (0, 0, 0)), cell)]
+        assert result.rows == tuple(
+            SweepRow(*key, g / n, i / n, n) for key, (g, i, n) in sorted(counts.items())
+        )
+        assert [r.getMessage() for r in caplog.records] == skips
+        assert len(skips) == 1
+
+
 class TestErrorContract:
     """Bad arguments raise InvalidConfig, a toolkit error that is also a ValueError."""
 
@@ -477,12 +570,21 @@ class TestErrorContract:
                 run_degree_sweep(unread_manifest, algorithms=("mcadams",))
         assert caplog.records == []
 
-    @pytest.mark.parametrize("algorithms,degrees", [((), (0,)), (("voc",), ())])
-    def test_sweep_refuses_no_algorithm_or_no_degree_before_reading_audio(
-        self, unread_manifest, caplog, algorithms, degrees
+    @pytest.mark.parametrize(
+        "algorithms,degrees,match",
+        [
+            ((), (0,), "at least one algorithm and one degree"),
+            (("voc",), (), "at least one algorithm and one degree"),
+            # Repeated, an algorithm or degree would count every file twice in its cells.
+            (("voc", "voc"), (0, 1), "each algorithm and degree once"),
+            (("voc",), (1, 1), "each algorithm and degree once"),
+        ],
+    )
+    def test_sweep_refuses_bad_algorithms_or_degrees_before_reading_audio(
+        self, unread_manifest, caplog, algorithms, degrees, match
     ):
         with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
-            with pytest.raises(InvalidConfig, match="at least one algorithm and one degree"):
+            with pytest.raises(InvalidConfig, match=match):
                 run_degree_sweep(unread_manifest, algorithms=algorithms, degrees=degrees)
         assert caplog.records == []
 

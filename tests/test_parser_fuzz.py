@@ -1,10 +1,20 @@
 """The four text parsers fail only as VoicemaskError, whatever a file holds."""
 
+import csv
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voicemask import aggregate_mos, load_manifest, load_models, load_sweep
+from voicemask import (
+    ALGORITHMS,
+    aggregate_mos,
+    emit_report,
+    find_crossover,
+    load_manifest,
+    load_models,
+    load_sweep,
+)
 from voicemask.errors import IoFailure, ParseError, VoicemaskError
 
 
@@ -90,3 +100,76 @@ class TestModelStoreValues:
         path.write_text(f"SPKMODEL v1 P={'9' * 5000} label=a gender=M frames=9\n")
         with pytest.raises(ParseError):
             load_models(path)
+
+
+SWEEP_HEADER = "algorithm,gender,degree,gender_success_rate,identification_rate,n_files"
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+_RATE = st.floats(0, 1)
+# Rows emit_report could write, but for an n_files that may be past 2**53.
+_PLAUSIBLE_ROW = st.tuples(
+    st.sampled_from(ALGORITHMS), st.sampled_from(("M", "F")), st.integers(0, 25), _RATE, _RATE,
+    st.one_of(st.integers(1, 40), st.integers(1, 2**53), st.integers(2**53, 10**400)),
+)
+_WILD_ROW = st.tuples(
+    st.one_of(st.sampled_from(ALGORITHMS + ("mcadams", "v\x00c", "../x", "<b>")), _TEXT),
+    st.one_of(st.sampled_from(("M", "F", "U", "")), _TEXT),
+    st.one_of(st.integers(-3, 30), st.integers(-(10**400), 10**400)).map(str),
+    st.one_of(st.floats(), st.sampled_from(("nan", "-inf", "1e400", "1.000000")), _TEXT),
+    st.one_of(st.floats(0, 1), st.floats()),
+    st.one_of(st.integers(-3, 40), st.integers(2**52, 10**400)).map(str),
+)
+
+
+def only_voicemask_error(call, *args):
+    try:
+        return call(*args)
+    except VoicemaskError:
+        return None
+
+
+class TestSweepValues:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "voc,F,5,0.5,0.5,0",
+            "voc,F,5,0.5,0.5,-2",
+            f"voc,F,5,0.5,0.5,{2**53 + 1}",
+            "voc,F,5,nan,0.5,3",
+            "voc,F,5,0.5,inf,3",
+            "voc,F,5,1.000001,0.5,3",
+            "voc,F,5,0.5,-0.1,3",
+            "voc,F,26,0.5,0.5,3",
+            "voc,F,-1,0.5,0.5,3",
+            "voc,U,5,0.5,0.5,3",
+            "v\x00c,F,5,0.5,0.5,3",
+        ],
+    )
+    def test_a_row_emit_report_never_writes_is_parse_error(self, tmp_path, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join([SWEEP_HEADER, "voc,M,5,0.5,0.5,3", row]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_sweep(path)
+        assert err.value.line == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(_PLAUSIBLE_ROW, min_size=1, max_size=6),
+        wild=st.lists(_WILD_ROW, max_size=2),  # most files that hold one are refused
+    )
+    def test_what_load_sweep_accepts_reports_without_a_stray_error(
+        self, tmp_path_factory, rows, wild
+    ):
+        # curve, find_crossover and emit_report on an accepted file fail only as VoicemaskError.
+        rows = rows + wild
+        base = tmp_path_factory.getbasetemp()
+        with open(base / "sweep_fuzz.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([SWEEP_HEADER.split(",")] + rows)
+        result = only_voicemask_error(load_sweep, base / "sweep_fuzz.csv")
+        if result is None:
+            return
+        for algo in {row.algorithm for row in result.rows}:
+            for metric in ("identification", "gender"):
+                for gender in (None, "M", "F"):
+                    curve = only_voicemask_error(result.curve, algo, metric, gender)
+                    only_voicemask_error(find_crossover, curve or [])
+        only_voicemask_error(emit_report, result, base / "sweep_fuzz_report")
