@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -427,10 +426,9 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
     directory or file that cannot be written is IoFailure.
 
     The calling thread draws every random number, from one stream, and
-    writes every file, in manifest order. With two or more usable CPUs a
-    thread pool renders the drawn utterances, one per worker, with at most
-    two per worker drawn and not yet written. The bytes do not depend on the
-    CPU count.
+    writes every file, in manifest order. A pool of one thread per usable
+    CPU renders the drawn utterances, with at most two per worker drawn and
+    not yet written. The bytes do not depend on the CPU count.
     """
     if seed < 0:  # numpy's seeding refuses it with a plain ValueError
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
@@ -445,33 +443,29 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
-    workers = min(signal_core._usable_cpus(), n_speakers * utterances_per_speaker)
+    total = n_speakers * utterances_per_speaker
+    workers = min(signal_core._usable_cpus(), total)
     entries = []
-    pending = deque()  # (path, samples when called): drawn but not yet written
-
-    def write(path, samples):
-        # Through the module: perfbench's --trace spans rebind write_wav in
-        # the modules it knows, and this one is not among them. The spans
-        # are not thread-safe, so every write stays on this thread.
-        signal_core.write_wav(path, AudioBuffer(samples(), _SYNTH_RATE))
-
-    with ExitStack() as stack:
-        pool = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(workers)
-            # On an error, drop the renders not yet started and join the rest.
-            stack.callback(pool.shutdown, cancel_futures=True)
+    pending = deque()  # (path, future samples): drawn but not yet written
+    pool = ThreadPoolExecutor(workers)
+    try:
         draws = _draw_corpus(rng, _flutter_grid(), n_speakers, utterances_per_speaker, out_dir)
         for entry, render in draws:
             entries.append(entry)
-            pending.append((entry.path, render if pool is None else pool.submit(render).result))
-            if len(pending) == 2 * workers:
-                write(*pending.popleft())
-        for path, samples in pending:
-            write(path, samples)
+            pending.append((entry.path, pool.submit(render)))
+            # Write one when the window is full, and every one left after the last draw.
+            while pending and (len(pending) == 2 * workers or len(entries) == total):
+                path, samples = pending.popleft()
+                # Through the module: perfbench's --trace spans rebind write_wav in
+                # the modules it knows, and this one is not among them. The spans
+                # are not thread-safe, so every write stays on this thread.
+                signal_core.write_wav(path, AudioBuffer(samples.result(), _SYNTH_RATE))
+    finally:
+        # On an error, drop the renders not yet started and join the rest.
+        pool.shutdown(cancel_futures=True)
 
     manifest = out_dir / "manifest.csv"
     try:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import operator
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +78,38 @@ _RATINGS_HEADER = ["listener_id", "file_id", "algorithm", "degree", "rating"]
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep cell; a row emit_report cannot write is InvalidConfig.
+
+    Such a row names an unknown algorithm or gender, a degree that is not an
+    integer in 0..MAX_DEGREE, a rate that is not a float or int in [0, 1]
+    (nan included), or an n_files that is not an integer in 1..2**53 (past
+    which counts are not exact floats, and curve's weighted sums could
+    overflow).
+    """
+
     algorithm: str
     gender: str
     degree: int
     gender_success_rate: float
     identification_rate: float
     n_files: int
+
+    def __post_init__(self):
+        algo, gender, degree = self.algorithm, self.gender, self.degree
+        if algo not in ALGORITHMS or gender not in ("M", "F") or not _within(
+            degree, Integral, 0, MAX_DEGREE
+        ):
+            raise InvalidConfig(f"no sweep cell is {algo!r}, {gender!r}, {degree}")
+        rates = (self.gender_success_rate, self.identification_rate)
+        # float or int: a Fraction would pass as a number, then fail in emit_report's formats.
+        if not all(_within(rate, (float, int), 0.0, 1.0) for rate in rates):
+            raise InvalidConfig(f"rates must be in [0, 1], got {rates[0]} and {rates[1]}")
+        if not _within(self.n_files, Integral, 1, 2**53):
+            raise InvalidConfig(f"n_files must be in 1..2**53, got {self.n_files}")
+
+
+def _within(value, kind, lo, hi) -> bool:
+    return isinstance(value, kind) and lo <= value <= hi
 
 
 @dataclass(frozen=True)
@@ -189,11 +217,14 @@ def run_degree_sweep(
     out of every cell; a per-cell transform or modeling failure is excluded
     from that cell's n_files. The aggregation is order-independent. No
     algorithm or no degree, an unknown or repeated algorithm, a repeated
-    degree or one outside 0..MAX_DEGREE raises InvalidConfig before any
-    audio is read.
+    degree, one that is not an integer or one outside 0..MAX_DEGREE raises
+    InvalidConfig before any audio is read.
     """
     algorithms = tuple(algorithms)
-    degrees = tuple(int(d) for d in degrees)
+    try:
+        degrees = tuple(map(operator.index, degrees))
+    except TypeError as exc:
+        raise InvalidConfig(f"degrees must be integers: {exc}") from None
     if not algorithms or not degrees:
         raise InvalidConfig("a sweep needs at least one algorithm and one degree")
     for degree in degrees:
@@ -319,25 +350,18 @@ def emit_report(result: SweepResult, out_dir) -> None:
 def load_sweep(path) -> SweepResult:
     """Read back a sweep.csv written by emit_report; a row it cannot have written is ParseError.
 
-    Such a row names an unknown algorithm, gender or degree, a rate outside
-    [0, 1] (nan included), or an n_files outside 1..2**53 (past which counts
-    are not exact floats, and curve's weighted sums could overflow).
+    SweepRow states which rows those are.
     """
     rows = []
     for line, row in _read_csv(path, _SWEEP_HEADER, EmptyInput("sweep file is empty")):
         if len(row) != 6:
             raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
         try:
-            degree, rates, n_files = int(row[2]), (float(row[3]), float(row[4])), int(row[5])
-        except ValueError as exc:
+            rows.append(
+                SweepRow(row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5]))
+            )
+        except ValueError as exc:  # InvalidConfig is a ValueError too
             raise ParseError(str(exc), line=line) from None
-        if row[0] not in ALGORITHMS or row[1] not in ("M", "F") or not 0 <= degree <= MAX_DEGREE:
-            raise ParseError(f"no sweep cell is {row[0]!r}, {row[1]!r}, {row[2]}", line=line)
-        if not all(0.0 <= rate <= 1.0 for rate in rates):
-            raise ParseError(f"rates must be in [0, 1], got {row[3]} and {row[4]}", line=line)
-        if not 1 <= n_files <= 2**53:
-            raise ParseError(f"n_files must be in 1..2**53, got {row[5]}", line=line)
-        rows.append(SweepRow(row[0], row[1], degree, *rates, n_files))
     return SweepResult(tuple(rows))
 
 

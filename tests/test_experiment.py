@@ -578,6 +578,9 @@ class TestErrorContract:
             # Repeated, an algorithm or degree would count every file twice in its cells.
             (("voc", "voc"), (0, 1), "each algorithm and degree once"),
             (("voc",), (1, 1), "each algorithm and degree once"),
+            # A degree that is not an integer: 2.7 was swept as degree 2.
+            (("voc",), ("x",), "degrees must be integers"),
+            (("voc",), (2.7,), "degrees must be integers"),
         ],
     )
     def test_sweep_refuses_bad_algorithms_or_degrees_before_reading_audio(

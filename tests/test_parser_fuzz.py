@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from voicemask import (
     ALGORITHMS,
+    SweepResult,
+    SweepRow,
     aggregate_mos,
     emit_report,
     find_crossover,
@@ -15,7 +17,7 @@ from voicemask import (
     load_models,
     load_sweep,
 )
-from voicemask.errors import IoFailure, ParseError, VoicemaskError
+from voicemask.errors import InvalidConfig, IoFailure, ParseError, VoicemaskError
 
 
 # One valid file per parser, the seed of the mutation fuzzer.
@@ -119,12 +121,32 @@ _WILD_ROW = st.tuples(
     st.one_of(st.integers(-3, 40), st.integers(2**52, 10**400)).map(str),
 )
 
+# A value of any type a caller might pass as a SweepRow field.
+_ANY_VALUE = st.one_of(
+    st.sampled_from(("mcadams", "v\x00c", "U")), _TEXT, st.none(), st.booleans(),
+    st.integers(-3, 30), st.integers(2**52, 10**400), st.floats(), st.fractions(0, 1),
+)
+# SweepRow fields emit_report could write, but for one replaced by any value.
+_ONE_WILD_FIELD = st.tuples(_PLAUSIBLE_ROW, st.integers(0, 5), _ANY_VALUE).map(
+    lambda drawn: drawn[0][: drawn[1]] + (drawn[2],) + drawn[0][drawn[1] + 1 :]
+)
+
 
 def only_voicemask_error(call, *args):
     try:
         return call(*args)
     except VoicemaskError:
         return None
+
+
+def report_only_fails_as_voicemask_error(result, out_dir):
+    """curve, find_crossover and emit_report on result fail only as VoicemaskError."""
+    for algo in {row.algorithm for row in result.rows}:
+        for metric in ("identification", "gender"):
+            for gender in (None, "M", "F"):
+                curve = only_voicemask_error(result.curve, algo, metric, gender)
+                only_voicemask_error(find_crossover, curve or [])
+    only_voicemask_error(emit_report, result, out_dir)
 
 
 class TestSweepValues:
@@ -150,6 +172,10 @@ class TestSweepValues:
         with pytest.raises(ParseError) as err:
             load_sweep(path)
         assert err.value.line == 3
+        # A library caller's row is refused by the same check.
+        algo, gender, degree, g_rate, i_rate, n_files = row.split(",")
+        with pytest.raises(InvalidConfig):
+            SweepRow(algo, gender, int(degree), float(g_rate), float(i_rate), int(n_files))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -165,11 +191,12 @@ class TestSweepValues:
         with open(base / "sweep_fuzz.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows([SWEEP_HEADER.split(",")] + rows)
         result = only_voicemask_error(load_sweep, base / "sweep_fuzz.csv")
-        if result is None:
-            return
-        for algo in {row.algorithm for row in result.rows}:
-            for metric in ("identification", "gender"):
-                for gender in (None, "M", "F"):
-                    curve = only_voicemask_error(result.curve, algo, metric, gender)
-                    only_voicemask_error(find_crossover, curve or [])
-        only_voicemask_error(emit_report, result, base / "sweep_fuzz_report")
+        if result is not None:
+            report_only_fails_as_voicemask_error(result, base / "sweep_fuzz_report")
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields=st.lists(st.one_of(_PLAUSIBLE_ROW, _ONE_WILD_FIELD), min_size=1, max_size=8))
+    def test_any_row_that_constructs_reports_without_a_stray_error(self, tmp_path_factory, fields):
+        rows = [only_voicemask_error(SweepRow, *values) for values in fields]
+        result = SweepResult(tuple(row for row in rows if row is not None))
+        report_only_fails_as_voicemask_error(result, tmp_path_factory.getbasetemp() / "rows")

@@ -126,6 +126,23 @@ class TestImports:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
+    @pytest.mark.parametrize(
+        "algo_args", [("--algo", "voc"), ("--algo", "quadratic", "--gender", "F")]
+    )
+    def test_cli_and_transform_load_no_thread_pool(self, tmp_path, vowel_wav, algo_args):
+        # synth_corpus imports concurrent.futures (about 1.7 ms) when it runs, and no sooner.
+        code = (
+            "import sys; from voicemask.cli import main; "
+            "print('concurrent.futures' in sys.modules); code = main(sys.argv[1:]); "
+            "print('concurrent.futures' in sys.modules); sys.exit(code)"
+        )
+        result = python(
+            code, "transform", *algo_args, "--degree", 10, "--in", vowel_wav,
+            "--out", tmp_path / "out.wav", block_scipy=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\nFalse\n"
+
     def test_experiment_loads_scipy_at_import(self):
         # A sweep's first timed round must not pay the scipy import.
         result = python(

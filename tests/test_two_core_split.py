@@ -1,14 +1,19 @@
 """Work on two or more cores: the warp's row split and the corpus's render pool.
 
 The warp resampler hands half of its rows to a helper thread
-(``signal_core._split_rows``), and ``synth_corpus`` renders utterances on a
-thread pool, when the process may run on two or more CPUs. Each test
-forces the path it needs by patching ``signal_core._usable_cpus``, so the
-threaded path runs even on a one-CPU machine and the serial path on any.
+(``signal_core._split_rows``) when the process may run on two or more CPUs,
+and ``synth_corpus`` renders utterances on a thread pool of one worker per
+usable CPU. Each test forces the CPU count it needs by patching
+``signal_core._usable_cpus``, so the threaded path runs even on a one-CPU
+machine and the serial split on any; one test pins a fresh interpreter to
+one CPU instead, so the real affinity read runs too.
 """
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +163,7 @@ class TestSynthPool:
         assert len(runs[0]) == speakers * utts + 1
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 16])
     def test_every_write_is_on_the_calling_thread_in_manifest_order(self, monkeypatch, tmp_path,
                                                                     cpus):
         writes, renders = [], []
@@ -178,8 +183,8 @@ class TestSynthPool:
         manifest = synth_corpus(7, 4, 2, tmp_path)
         caller = threading.current_thread()
         assert writes == [(caller, e.path) for e in manifest.entries]
-        # one CPU: no thread at all; two: every render on a pool worker
-        assert all((t is caller) == (cpus == 1) for t in renders) and len(renders) == 8
+        # every render on a pool worker, one CPU included
+        assert all(t is not caller for t in renders) and len(renders) == 8
 
     @pytest.mark.parametrize("cpus", [1, 2, 16])
     def test_at_most_two_utterances_per_worker_are_drawn_and_not_written(self, monkeypatch,
@@ -225,7 +230,42 @@ class TestSynthPool:
             return str(failed.value), corpus_files(out)
 
         pooled = run(cpus, tmp_path / "pooled")
-        serial = run(1, tmp_path / "serial")
+        serial = run(1, tmp_path / "serial")  # a one-worker pool
         assert pooled == serial
         assert pooled[0] == "cannot write spk01_u00.wav: disk full"
         assert sorted(pooled[1]) == ["spk00_u00.wav", "spk00_u01.wav"]
+
+
+# Pins this interpreter to its first argv[1] usable CPUs, writes a corpus to
+# argv[2] and prints the CPU count synth_corpus sized its pool by.
+PIN_AND_SYNTH = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[1])])
+from voicemask import signal_core
+from voicemask.cli import main
+code = main(["synth", "--seed", "3", "--speakers", "2", "--utts", "2", "--out", sys.argv[2]])
+print(signal_core._usable_cpus())
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs",
+)
+def test_a_process_pinned_to_one_cpu_writes_the_bytes_of_a_two_cpu_one(tmp_path):
+    src = str(Path(corpus.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        result = subprocess.run(
+            [sys.executable, "-c", PIN_AND_SYNTH, str(cpus), str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{cpus}\n"
+        runs.append(corpus_files(out))
+    assert len(runs[0]) == 5
+    assert runs[0] == runs[1]
