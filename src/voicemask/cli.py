@@ -34,6 +34,7 @@ from .corpus import (
 )
 from .errors import (
     EmptyEnrollment,
+    InvalidConfig,
     InvariantViolation,
     MissingGender,
     NoCrossover,
@@ -193,16 +194,12 @@ def _format_crossover(curve) -> str:
 
 
 def _cmd_sweep(parser, args) -> int:
-    from .experiment import emit_report, run_degree_sweep
+    from .experiment import _sweep_algorithms, emit_report, run_degree_sweep
 
-    algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-    if not algos:
-        parser.error(f"--algos names no algorithm; choose from {','.join(ALGORITHMS)}")
-    for i, algo in enumerate(algos):
-        if algo not in ALGORITHMS:
-            parser.error(f"unknown algorithm {algo!r}; choose from {','.join(ALGORITHMS)}")
-        if algo in algos[:i]:
-            parser.error(f"--algos names {algo!r} twice")
+    try:
+        algos = _sweep_algorithms(a.strip() for a in args.algos.split(",") if a.strip())
+    except InvalidConfig as exc:
+        parser.error(str(exc))
     degrees = _parse_degrees(parser, args.degrees)
     manifest = load_manifest(args.manifest)
     result = run_degree_sweep(manifest, algos, degrees)

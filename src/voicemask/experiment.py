@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -204,6 +205,25 @@ def _sweep_file(entry: ManifestEntry, schedules, degrees, models):
     return hits, skips
 
 
+def _sweep_algorithms(algorithms) -> tuple[str, ...]:
+    """A sweep's algorithms as distinct names from ALGORITHMS, else InvalidConfig.
+
+    A lone string is not a collection of names. ``voicemask sweep`` reports
+    the same text as a usage error.
+    """
+    if isinstance(algorithms, str) or not isinstance(algorithms, Iterable):
+        raise InvalidConfig(f"algorithms must be a collection of names, got {algorithms!r}")
+    names = tuple(algorithms)
+    if not names:
+        raise InvalidConfig(f"a sweep names no algorithm; choose from {','.join(ALGORITHMS)}")
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name not in ALGORITHMS:
+            raise InvalidConfig(f"unknown algorithm {name!r}; choose from {','.join(ALGORITHMS)}")
+        if name in names[:i]:
+            raise InvalidConfig(f"a sweep names {name!r} twice")
+    return names
+
+
 def run_degree_sweep(
     corpus: CorpusManifest, algorithms=ALGORITHMS, degrees=tuple(range(26))
 ) -> SweepResult:
@@ -215,25 +235,21 @@ def run_degree_sweep(
     logged in manifest order and their hits summed by cell. A file that
     cannot be read or analysed, or whose speaker is not enrolled, is left
     out of every cell; a per-cell transform or modeling failure is excluded
-    from that cell's n_files. The aggregation is order-independent. No
-    algorithm or no degree, an unknown or repeated algorithm, a repeated
-    degree, one that is not an integer or one outside 0..MAX_DEGREE raises
+    from that cell's n_files. The aggregation is order-independent.
+    Algorithms that _sweep_algorithms refuses, no degree, a repeated degree,
+    one that is not an integer or one outside 0..MAX_DEGREE raise
     InvalidConfig before any audio is read.
     """
-    algorithms = tuple(algorithms)
+    schedules = [DegreeSchedule(algo) for algo in _sweep_algorithms(algorithms)]
     try:
         degrees = tuple(map(operator.index, degrees))
     except TypeError as exc:
         raise InvalidConfig(f"degrees must be integers: {exc}") from None
-    if not algorithms or not degrees:
-        raise InvalidConfig("a sweep needs at least one algorithm and one degree")
+    if not degrees or len(set(degrees)) < len(degrees):
+        raise InvalidConfig(f"a sweep needs one or more distinct degrees, got {degrees}")
     for degree in degrees:
         if not 0 <= degree <= MAX_DEGREE:
             raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
-    if len(set(algorithms)) < len(algorithms) or len(set(degrees)) < len(degrees):
-        raise InvalidConfig(f"a sweep names each algorithm and degree once: {algorithms} {degrees}")
-    # An unknown algorithm is refused here, before any audio is read.
-    schedules = [DegreeSchedule(algo) for algo in algorithms]
     models = enroll(corpus)
     counts: dict[tuple[str, str, int], list[int]] = {}
     for entry in corpus.test_entries():

@@ -19,7 +19,7 @@ returns the next synthesis frame, rendered with its block of frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -300,37 +300,40 @@ def _render_blocks(spec, analysis, angles, shifts, offset, size):
     Each block rotates (identity locking) by the plan's track ``angles`` and
     scatters by its region ``shifts`` all its voiced frames' regions at once,
     into work rows of ``size`` bins that hold the spectrum at ``offset``; its
-    peak-free frames follow in order. The phases carried into the next block
-    are taken before any of its rows is handed out, so the caller may edit
-    them. Every complex product keeps the one-frame operand order (frame x
-    rotation, magnitude x exp): numpy's multiply is not commutative to the
-    last bit, and its temporary elision swaps the operands of arrays above
-    256 KiB (README).
+    peak-free frames follow in order. Each bin's rotation and shift are
+    gathered through the analysis' ``bin_region``. The phases carried into
+    the next block are taken before any of its rows is handed out, so the
+    caller may edit them. Every complex product keeps the one-frame operand
+    order (frame x rotation, magnitude x exp): numpy's multiply is not
+    commutative to the last bit, and its temporary elision swaps the
+    operands of arrays above 256 KiB (README).
     """
     a, locked = analysis, spec.variant == "identity-locked"
     n, n_frames = a.config.n_bins, len(a.frames)
     slots = np.arange(n) + offset
     bin_step = a.config.hop * spec.ratio
     free_advance = bin_step * bin_frequencies(n)
+    rotations = np.exp(1j * angles) if locked else None  # one per peak
     carried = None  # synthesis phases of the last frame of the last block
+    bins = 0  # the voiced bins of earlier blocks, a prefix of a.bin_region
     for start in range(0, n_frames, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, n_frames)
-        lo, hi = a.offsets[start], a.offsets[stop]
         frames = a.frames[start:stop]
         peak_free = np.diff(a.offsets[start : stop + 1]) == 0
         voiced = np.flatnonzero(~peak_free)
         work = np.zeros((stop - start, size), dtype=np.complex128)
         rows = work[:, offset : offset + n]
-        lengths = a.lengths[lo:hi]
+        region = a.bin_region[bins : bins + voiced.size * n]
+        bins += region.size
         values = frames[voiced].reshape(-1)
         if locked:
             # Frame 0's tracks have angle 0; a rotation by exactly 1 changes
             # at most the sign of a zero, which the sum into +0 drops.
-            np.multiply(values, np.exp(1j * angles[lo:hi]).repeat(lengths), out=values)
+            np.multiply(values, rotations.take(region), out=values)
         # Each bin goes to row * size + slot + its region's shift; bins beyond
         # the spectrum land in the margins of their work row, and colliding
         # regions add up in region order.
-        targets = shifts[lo:hi].repeat(lengths).reshape(voiced.size, n)
+        targets = shifts.take(region).reshape(voiced.size, n)
         targets += slots
         targets += (voiced * size)[:, None]
         targets = targets.reshape(-1)
@@ -387,7 +390,9 @@ class PitchAnalysis:
     rows, found with ``neighbor_span``, frame t's at rows
     ``offsets[t]:offsets[t + 1]``; ``lengths`` and ``peak_freq`` hold each
     region's length and the instantaneous frequency at its peak.
-    All arrays are read-only.
+    ``bin_region``, derived from ``lengths``, holds the row of ``regions``
+    that owns each bin, voiced frame after voiced frame: the regions of a
+    voiced frame cover its bins once, in order. All arrays are read-only.
     """
 
     frames: np.ndarray
@@ -400,10 +405,15 @@ class PitchAnalysis:
     config: StftConfig
     sample_rate: int
     n_samples: int
+    bin_region: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # One repeat per analysis: every pitch cell of the buffer gathers
+        # through it instead of repeating its rotations and shifts.
+        bin_region = np.repeat(np.arange(self.lengths.size), self.lengths)
+        object.__setattr__(self, "bin_region", bin_region)
         arrays = (self.frames, self.inst_freq, self.regions, self.offsets, self.lengths)
-        for array in (*arrays, self.peak_freq):
+        for array in (*arrays, self.peak_freq, bin_region):
             array.setflags(write=False)
 
 

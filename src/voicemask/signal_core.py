@@ -7,6 +7,7 @@ frequency ``pi * k / (n - 1)``.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import threading
@@ -357,6 +358,35 @@ def stft(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> Spectrogram:
 _BLOCK_FRAMES = 64
 
 
+@functools.lru_cache(maxsize=2)
+def _overlap_plan(cfg: StftConfig, n_frames: int):
+    """What istft of n_frames frames needs besides the frames: (pieces, divisor).
+
+    A piece is (k, the frame columns of hop-wide block k, their width), k
+    downwards. The divisor is the window sum floored at 1% of its peak,
+    read-only, or None without frames. Every cell of one file has its frame
+    count, so a sweep builds this once per file; the last two are kept.
+    """
+    pieces = []
+    for k in reversed(range(-(-cfg.frame_len // cfg.hop))):
+        cols = slice(k * cfg.hop, min((k + 1) * cfg.hop, cfg.frame_len))
+        pieces.append((k, cols, cols.stop - cols.start))
+    if not n_frames:
+        return tuple(pieces), None
+    norm = np.zeros((n_frames + len(pieces) - 1, cfg.hop))
+    w = cfg.window_samples()
+    w_sq = w * w
+    for k, cols, width in pieces:
+        norm[k : k + n_frames, :width] += w_sq[cols]
+    # The floor keeps division exact wherever the window sum is well
+    # conditioned and stops modified (non-COLA) frame content from being
+    # amplified at the outermost samples.
+    norm = norm.reshape(-1)[: (n_frames - 1) * cfg.hop + cfg.frame_len]
+    np.maximum(norm, 1e-2 * norm.max(), out=norm)
+    norm.setflags(write=False)
+    return tuple(pieces), norm
+
+
 def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     """Weighted overlap-add resynthesis with window-sum normalization.
 
@@ -364,7 +394,8 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     ``n_samples``, when given, trims it or pads it with zeros. Reconstruction
     is reliable on the interior, away from frame_len samples at each edge.
     Frames are inverse-transformed and windowed _BLOCK_FRAMES at a time, and
-    each block is overlap-added before the next is transformed.
+    each block is overlap-added before the next is transformed. Without
+    frames the output is zero.
     """
     cfg = spec.config
     w = cfg.window_samples()
@@ -375,32 +406,18 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
     # Frame blocks run in order and k runs downwards within each, so every
     # sample adds its frames in ascending order.
-    n_blocks = -(-cfg.frame_len // hop)
-    pieces = []  # (k, the frame columns of block k, their width), k downwards
-    for k in reversed(range(n_blocks)):
-        cols = slice(k * hop, min((k + 1) * hop, cfg.frame_len))
-        pieces.append((k, cols, cols.stop - cols.start))
-    n_rows = n_frames + n_blocks - 1
+    pieces, divisor = _overlap_plan(cfg, n_frames)
+    n_rows = n_frames + len(pieces) - 1
     # No frame reaches past out_len, so the flat buffer is the output with
     # its zero tail already in place.
     flat = np.zeros(max(n_rows * hop, n_samples))
     acc = flat[: n_rows * hop].reshape(n_rows, hop)
-    norm = np.zeros_like(acc)
-    w_sq = w * w
-    for k, cols, width in pieces:
-        norm[k : k + n_frames, :width] += w_sq[cols]
     for start in range(0, n_frames, _BLOCK_FRAMES):
         frames = np.fft.irfft(spec.frames[start : start + _BLOCK_FRAMES], n=cfg.frame_len, axis=1)
         frames *= w  # in place: no second stack at the memory peak
         for k, cols, width in pieces:
             acc[start + k : start + k + len(frames), :width] += frames[:, cols]
-    # Floor the normalizer at 1% of its peak: keeps division exact wherever
-    # the window sum is well conditioned and stops modified (non-COLA) frame
-    # content from being amplified at the outermost samples. Without frames
-    # the window sum and the output are zero.
-    norm = norm.reshape(-1)[:out_len]
-    peak = norm.max(initial=0.0)
-    kept = min(out_len, n_samples)
-    if peak > 0.0:
-        flat[:kept] /= np.maximum(norm[:kept], 1e-2 * peak, out=norm[:kept])
+    if divisor is not None:
+        kept = min(out_len, n_samples)
+        flat[:kept] /= divisor[:kept]
     return AudioBuffer(flat[:n_samples], spec.sample_rate)

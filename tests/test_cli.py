@@ -567,10 +567,11 @@ class TestSweepFlags:
     @pytest.mark.parametrize(
         "algos,message",
         [
-            (",", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
-            (" , ", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
-            ("", "--algos names no algorithm; choose from voc,vocf,quadratic,bilinear"),
-            ("voc,vocf,voc", "--algos names 'voc' twice"),
+            (",", "a sweep names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            (" , ", "a sweep names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            ("", "a sweep names no algorithm; choose from voc,vocf,quadratic,bilinear"),
+            ("voc,vocf,voc", "a sweep names 'voc' twice"),
+            ("voc,gmm", "unknown algorithm 'gmm'; choose from voc,vocf,quadratic,bilinear"),
         ],
     )
     def test_bad_algos_are_usage_errors_before_reading_audio(self, capsys, caplog, tmp_path,

@@ -573,11 +573,16 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "algorithms,degrees,match",
         [
-            ((), (0,), "at least one algorithm and one degree"),
-            (("voc",), (), "at least one algorithm and one degree"),
+            ((), (0,), "names no algorithm"),
+            (("voc",), (), "one or more distinct degrees"),
             # Repeated, an algorithm or degree would count every file twice in its cells.
-            (("voc", "voc"), (0, 1), "each algorithm and degree once"),
-            (("voc",), (1, 1), "each algorithm and degree once"),
+            (("voc", "voc"), (0, 1), "names 'voc' twice"),
+            (("voc",), (1, 1), r"distinct degrees, got \(1, 1\)"),
+            # Not a collection of names: each raised a bare TypeError, and a
+            # string was swept character by character, refused as 'v'.
+            (5, (0,), "collection of names, got 5$"),
+            ("voc", (0,), "collection of names, got 'voc'$"),
+            (("voc", ["x"]), (0,), r"unknown algorithm \['x'\]"),
             # A degree that is not an integer: 2.7 was swept as degree 2.
             (("voc",), ("x",), "degrees must be integers"),
             (("voc",), (2.7,), "degrees must be integers"),

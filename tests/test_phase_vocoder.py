@@ -324,8 +324,42 @@ class TestAnalyseOnce:
             peaks = analysis.regions[a:b, 0]
             assert np.array_equal(analysis.peak_freq[a:b], analysis.inst_freq[t, peaks])
         assert np.array_equal(analysis.lengths, analysis.regions[:, 2] - analysis.regions[:, 1] + 1)
-        for array in (analysis.regions, analysis.offsets, analysis.lengths, analysis.peak_freq):
+        arrays = (analysis.regions, analysis.offsets, analysis.lengths, analysis.peak_freq)
+        for array in (*arrays, analysis.bin_region):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "source", ["voiced with gap", "tone", "one frame", "silence", "built: gaps", "built: none"]
+    )
+    def test_bin_region_is_each_bins_region(self, source):
+        # The per-bin table _render_blocks gathers through, against the
+        # np.repeat form that tests/phase_reference.py builds per frame.
+        cfg = StftConfig(frame_len=64, hop=16)
+        rng = np.random.default_rng(4)
+        frames = rng.random((5, cfg.n_bins)) * np.exp(2j * np.pi * rng.random((5, cfg.n_bins)))
+        partitions = [regions_of_influence(f, detect_peaks(f)) for f in frames]
+        analysis = {
+            "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
+            "tone": lambda: analyse_pitch(make_tone(440.0, seconds=0.3)),
+            "one frame": lambda: analyse_pitch(make_tone(440.0, seconds=0.01)),
+            "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
+            "built: gaps": lambda: pitch_analysis(
+                frames, [partitions[0], None, partitions[2], None, partitions[4]],
+                np.zeros(frames.shape), cfg,
+            ),
+            "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape), cfg),
+        }[source]()
+        want = np.repeat(np.arange(len(analysis.regions)), analysis.lengths)
+        assert analysis.bin_region.dtype == np.intp
+        assert analysis.bin_region.tobytes() == want.tobytes()
+        # Voiced frame after voiced frame, n_bins entries each: the rows of
+        # frame t are offsets[t] plus the one-frame form of its partition.
+        table = analysis.bin_region.reshape(-1, analysis.config.n_bins)
+        voiced = [(t, p) for t, p in enumerate(frame_partitions(analysis)) if p is not None]
+        assert len(table) == len(voiced)
+        for row, (t, p) in zip(table, voiced):
+            one_frame = np.repeat(np.arange(len(p)), p[:, 2] - p[:, 1] + 1)
+            assert row.tobytes() == (analysis.offsets[t] + one_frame).tobytes()
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_advance_runs_once_per_frame(self, monkeypatch, variant):

@@ -25,9 +25,27 @@ from voicemask.errors import (
     VoicemaskError,
 )
 from voicemask.signal_core import _BLOCK_FRAMES as B
-from voicemask.signal_core import cola_deviation
+from voicemask.signal_core import _overlap_plan, cola_deviation
 
 from helpers import SR, interior_snr_db, make_tone
+
+
+def frame_by_frame(spec):
+    """istft's output at its natural length, from the plain loop that adds frame t at t * hop."""
+    cfg = spec.config
+    n, hop = cfg.frame_len, cfg.hop
+    w = cfg.window_samples()
+    frames = np.fft.irfft(spec.frames, n=n, axis=1) * w
+    acc = np.zeros((spec.n_frames - 1) * hop + n)
+    norm = np.zeros_like(acc)
+    for t, frame in enumerate(frames):
+        acc[t * hop : t * hop + n] += frame
+        norm[t * hop : t * hop + n] += w * w
+    return acc / np.maximum(norm, 1e-2 * norm.max()) if spec.n_frames else acc
+
+
+# Two small configs for the divisor cache.
+CACHE_CONFIGS = (StftConfig(frame_len=64, hop=16), StftConfig(frame_len=64, hop=24, window="hamming"))
 
 
 def wav_bytes(fmt_tag, channels, rate, bits, payload):
@@ -453,24 +471,56 @@ class TestIstft:
         sg = stft(AudioBuffer(rng.standard_normal((n_frames - 1) * hop + 64), SR), cfg)
         assert sg.n_frames == n_frames
         scrambled = sg.frames * np.exp(2j * np.pi * rng.random(sg.frames.shape))
-        w = cfg.window_samples()
-        frames = np.fft.irfft(scrambled, n=64, axis=1) * w
-        acc = np.zeros((sg.n_frames - 1) * hop + 64)
-        norm = np.zeros_like(acc)
-        for t, frame in enumerate(frames):
-            acc[t * hop : t * hop + 64] += frame
-            norm[t * hop : t * hop + 64] += w * w
-        want = acc / np.maximum(norm, 1e-2 * norm.max())
         spec = Spectrogram(scrambled, cfg, SR)
+        want = frame_by_frame(spec)
         assert istft(spec).samples.tobytes() == want.tobytes()
         # Trimmed, at, and zero-padded past the natural length.
         for n_samples in (want.size // 2, want.size - 1, want.size, want.size + hop + 1):
             padded = np.concatenate([want, np.zeros(hop + 1)])[:n_samples]
             assert istft(spec, n_samples).samples.tobytes() == padded.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 63, 64, 65, 184]),
+                # No length, or the natural length plus this (-100 asks for none).
+                st.sampled_from([None, -100, -1, 0, 1, 25]),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_cached_divisor_keeps_the_frame_by_frame_bytes(self, calls):
+        # Two configs take turns, so a divisor served for the wrong config,
+        # frame count or length would show in the bytes.
+        for i, (n_frames, extra) in enumerate(calls):
+            cfg = CACHE_CONFIGS[i % 2]
+            rng = np.random.default_rng([i, n_frames])
+            shape = (n_frames, cfg.n_bins)
+            spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg, SR)
+            natural = (n_frames - 1) * cfg.hop + cfg.frame_len
+            n_samples = None if extra is None else max(0, natural + extra)
+            want = frame_by_frame(spec)
+            if n_samples is not None:
+                want = np.concatenate([want, np.zeros(n_samples)])[:n_samples]
+            assert istft(spec, n_samples).samples.tobytes() == want.tobytes()
+
+    def test_cached_divisor_is_read_only_and_bounded(self):
+        size = _overlap_plan.cache_info().maxsize
+        assert size is not None and size <= 4
+        _, divisor = _overlap_plan(StftConfig(), 184)
+        assert not divisor.flags.writeable
+        assert _overlap_plan(StftConfig(), 184)[1] is divisor
+        assert _overlap_plan(StftConfig(), 0)[1] is None
+        for n_frames in range(1, 3 * size):
+            _overlap_plan(StftConfig(), n_frames)
+        assert _overlap_plan.cache_info().currsize == size
+
     def test_memory_stays_below_a_whole_cell_stack(self):
-        # A 184-frame cell's whole inverse-FFT stack alone is 1.5 MB; blocks
-        # keep the peak, output included, near 1.8 MB.
+        # A 184-frame cell's whole inverse-FFT stack alone is 1.5 MB. Blocks
+        # and the cached divisor keep the peak, output included, at 1.44 MB;
+        # the bound leaves about 10% of margin.
         spec = stft(AudioBuffer(np.random.default_rng(3).standard_normal(3 * SR), SR))
         assert spec.n_frames == 184
         istft(spec, 3 * SR)
@@ -480,4 +530,4 @@ class TestIstft:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3e6
+        assert peak <= 1.6e6
