@@ -441,7 +441,7 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
     from concurrent.futures import ThreadPoolExecutor
 

@@ -341,6 +341,7 @@ def emit_report(result: SweepResult, out_dir) -> None:
     if not result.rows:
         raise InvalidConfig("empty sweep result")
     out_dir = Path(out_dir)
+    charts = {a: _render_chart(result, a) for a in sorted({r.algorithm for r in result.rows})}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -357,9 +358,9 @@ def emit_report(result: SweepResult, out_dir) -> None:
                         row.n_files,
                     ]
                 )
-        for algo in sorted({r.algorithm for r in result.rows}):
-            (out_dir / f"sweep_{algo}.svg").write_text(_render_chart(result, algo))
-    except OSError as exc:
+        for algo, chart in charts.items():
+            (out_dir / f"sweep_{algo}.svg").write_text(chart)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
 
 

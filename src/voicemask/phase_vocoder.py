@@ -53,19 +53,16 @@ _TRACK_MATCH_TOLERANCE = 4  # bins, destination-space distance for track continu
 
 @dataclass(frozen=True)
 class PitchShiftSpec:
-    """Pitch ratio (output/input), phase-propagation variant, peak neighborhood."""
+    """Pitch ratio (output/input) and phase-propagation variant."""
 
     ratio: float
     variant: str = "identity-locked"
-    neighbor_span: int = 2
 
     def __post_init__(self):
         if not 0.25 <= self.ratio <= 4.0:
             raise InvalidConfig(f"ratio must be in [0.25, 4.0], got {self.ratio}")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.neighbor_span not in (2, 4):
-            raise InvalidConfig(f"neighbor_span must be 2 or 4, got {self.neighbor_span}")
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
@@ -195,11 +192,6 @@ class PhasePropagator:
     """
 
     def __init__(self, spec: PitchShiftSpec, analysis: PitchAnalysis):
-        if spec.neighbor_span != analysis.neighbor_span:
-            raise InvalidConfig(
-                f"analysis found peaks with neighbor_span {analysis.neighbor_span}, "
-                f"spec asks for {spec.neighbor_span}"
-            )
         self.spec, self.analysis = spec, analysis
         self._locked = spec.variant == "identity-locked"
         shift_of, offset, size = _translation(spec.ratio, analysis.config.n_bins)
@@ -387,40 +379,56 @@ class PitchAnalysis:
     instantaneous frequency of frame t, measured from the phase advance
     since frame t-1; row 0 has no predecessor and holds the bin centres.
     ``regions`` holds every frame's regions of influence as (peak, lo, hi)
-    rows, found with ``neighbor_span``, frame t's at rows
-    ``offsets[t]:offsets[t + 1]``; ``lengths`` and ``peak_freq`` hold each
-    region's length and the instantaneous frequency at its peak.
-    ``bin_region``, derived from ``lengths``, holds the row of ``regions``
-    that owns each bin, voiced frame after voiced frame: the regions of a
-    voiced frame cover its bins once, in order. All arrays are read-only.
+    rows, frame t's at rows ``offsets[t]:offsets[t + 1]``. Derived from
+    these: ``peak_freq``, the instantaneous frequency at each region's peak,
+    and ``bin_region``, the row of ``regions`` that owns each bin, voiced
+    frame after voiced frame. All arrays are read-only. Arrays that are not
+    one such analysis, or regions that do not tile each voiced frame around
+    their peaks, are InvalidConfig.
     """
 
     frames: np.ndarray
     inst_freq: np.ndarray
     regions: np.ndarray
     offsets: np.ndarray
-    lengths: np.ndarray
-    peak_freq: np.ndarray
-    neighbor_span: int
     config: StftConfig
     sample_rate: int
     n_samples: int
+    peak_freq: np.ndarray = field(init=False, repr=False, compare=False)
     bin_region: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        frames, regions, offsets, n = self.frames, self.regions, self.offsets, self.config.n_bins
+        if not (
+            frames.shape == self.inst_freq.shape == (offsets.size - 1, n) and offsets.size > 1
+            and offsets.shape == (offsets.size,) and regions.shape[1:] == (3,)
+            and frames.dtype.kind == "c" and offsets.dtype.kind == regions.dtype.kind == "i"
+            and offsets[0] == 0 and offsets[-1] == len(regions)
+            and np.all(offsets[:-1] <= offsets[1:])
+        ):
+            raise InvalidConfig(f"arrays must describe one analysis of {n}-bin frames")
+        peak, lo, hi = regions.T
+        counts = np.diff(offsets)
+        starts, ends = offsets[:-1][counts > 0], offsets[1:][counts > 0] - 1
+        # A voiced frame's first region starts at bin 0, each other one bin after the last.
+        follows = np.roll(hi + 1, 1)
+        follows[starts] = 0
+        tiled = np.array_equal(lo, follows) and np.all(hi[ends] == n - 1)
+        if not (tiled and np.all((lo <= peak) & (peak <= hi) & (hi < n))):
+            raise InvalidConfig("each voiced frame's regions must cover its bins in order")
+        frame_of = np.repeat(np.arange(len(frames)), counts)
+        object.__setattr__(self, "peak_freq", self.inst_freq[frame_of, peak])
         # One repeat per analysis: every pitch cell of the buffer gathers
         # through it instead of repeating its rotations and shifts.
-        bin_region = np.repeat(np.arange(self.lengths.size), self.lengths)
-        object.__setattr__(self, "bin_region", bin_region)
-        arrays = (self.frames, self.inst_freq, self.regions, self.offsets, self.lengths)
-        for array in (*arrays, self.peak_freq, bin_region):
+        object.__setattr__(self, "bin_region", np.repeat(np.arange(peak.size), hi - lo + 1))
+        for array in (frames, self.inst_freq, regions, offsets, self.peak_freq, self.bin_region):
             array.setflags(write=False)
 
 
 def analyse_pitch(
     buf: AudioBuffer, cfg: StftConfig = StftConfig(), neighbor_span: int = 2
 ) -> PitchAnalysis:
-    """Analyse a buffer once for pitch shifting at any ratio."""
+    """Analyse a buffer once for pitch shifting at any ratio, peaks as detect_peaks finds them."""
     frames = stft(buf, cfg).frames
     mag = np.abs(frames)
     is_peak = _peak_mask(mag, neighbor_span)
@@ -430,18 +438,7 @@ def analyse_pitch(
     inst_freq = np.empty_like(phase)
     inst_freq[0] = omega
     inst_freq[1:] = omega + princarg(phase[1:] - phase[:-1] - cfg.hop * omega) / cfg.hop
-    return PitchAnalysis(
-        frames,
-        inst_freq,
-        regions,
-        offsets,
-        regions[:, 2] - regions[:, 1] + 1,
-        inst_freq[is_peak],  # row-major, the order of the regions
-        neighbor_span,
-        cfg,
-        buf.sample_rate,
-        len(buf),
-    )
+    return PitchAnalysis(frames, inst_freq, regions, offsets, cfg, buf.sample_rate, len(buf))
 
 
 def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer:
@@ -459,5 +456,9 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
 
 
 def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
-    """Shift the pitch of a buffer by spec.ratio; duration is preserved."""
-    return shift_analysed(analyse_pitch(buf, cfg, spec.neighbor_span), spec)
+    """Shift the pitch of a buffer by spec.ratio; duration is preserved.
+
+    Peaks are found over the default neighbourhood; for 4 neighbours use
+    ``shift_analysed(analyse_pitch(buf, cfg, 4), spec)``.
+    """
+    return shift_analysed(analyse_pitch(buf, cfg), spec)

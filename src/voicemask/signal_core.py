@@ -206,9 +206,11 @@ def read_text(path) -> str:
     An unreadable path is IoFailure and bytes that are not UTF-8 are ParseError.
     """
     try:
-        return Path(path).read_bytes().decode("utf-8")
-    except OSError as exc:
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
 
@@ -243,7 +245,7 @@ def read_wav(path) -> AudioBuffer:
     """
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: not a RIFF/WAVE file")
@@ -321,7 +323,7 @@ def write_wav(path, buf: AudioBuffer) -> None:
     header += b"data" + struct.pack("<I", len(body))
     try:
         Path(path).write_bytes(header + body)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

@@ -132,11 +132,14 @@ def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> n
 
     Pipeline: pre-emphasis, Hann-windowed frames, magnitude spectrum, mel
     filterbank, log energies floored at 1e-10, orthonormal DCT-II with c0
-    dropped.
+    dropped. A sample rate too low for a one-sample frame and hop is
+    InvalidConfig.
     """
     fs = buf.sample_rate
     frame = int(round(cfg.frame_ms * fs / 1000.0))
     hop = int(round(cfg.hop_ms * fs / 1000.0))
+    if min(frame, hop) < 1:
+        raise InvalidConfig(f"{fs} Hz gives {frame}-sample frames and {hop}-sample hops")
     x = buf.samples
     if x.size < frame:
         raise TooShort(f"need at least {frame} samples, got {x.size}")
@@ -288,7 +291,7 @@ def save_models(path, models) -> None:
         blocks.append("\n".join(lines))
     try:
         Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

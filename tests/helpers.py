@@ -25,19 +25,14 @@ def make_vowel(f0=120.0, seconds=3.0, sr=SR, amp=0.3):
     return AudioBuffer(amp * x / np.max(np.abs(x)), sr)
 
 
-def pitch_analysis(frames, partitions, inst_freq, cfg, neighbor_span=2):
+def pitch_analysis(frames, partitions, inst_freq, cfg):
     """A PitchAnalysis of given frames, partitions (None where peak-free) and inst_freq rows."""
     frames = np.array(frames, dtype=np.complex128)
     inst_freq = np.array(inst_freq, dtype=np.float64)
-    voiced = [(t, p) for t, p in enumerate(partitions) if p is not None]
-    regions = np.concatenate([p for _, p in voiced] + [np.empty((0, 3), dtype=np.intp)])
+    regions = np.concatenate([p for p in partitions if p is not None] + [np.empty((0, 3), np.intp)])
     offsets = np.cumsum([0] + [0 if p is None else len(p) for p in partitions])
-    peak_freq = np.concatenate([inst_freq[t, p[:, 0]] for t, p in voiced] + [np.empty(0)])
-    lengths = regions[:, 2] - regions[:, 1] + 1
     n_samples = (len(frames) - 1) * cfg.hop + cfg.frame_len
-    return PitchAnalysis(
-        frames, inst_freq, regions, offsets, lengths, peak_freq, neighbor_span, cfg, SR, n_samples
-    )
+    return PitchAnalysis(frames, inst_freq, regions, offsets, cfg, SR, n_samples)
 
 
 def frame_partitions(analysis):

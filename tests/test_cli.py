@@ -14,6 +14,7 @@ import voicemask
 import voicemask.cli as cli
 
 from voicemask import (
+    AudioBuffer,
     PitchShiftSpec,
     SpeakerModel,
     enroll,
@@ -425,6 +426,18 @@ class TestEnrollIdentifyGender:
         )
         assert code == 1 and out == ""
         assert err == "error: incompatible covariance shapes (12, 12) and (2, 2)\n"
+
+    @pytest.mark.parametrize("rate", [20, 50])
+    @pytest.mark.parametrize("command", ["identify", "gender"])
+    def test_audio_too_low_in_rate_to_frame_is_runtime_error(self, capsys, tmp_path, command, rate):
+        # The 10 ms hop rounds to 0 samples at 50 Hz and below.
+        store, wav = tmp_path / "store.txt", tmp_path / "low.wav"
+        save_models(store, [SpeakerModel(label, gender, np.eye(12), 100)
+                            for label, gender in (("spk00", "M"), ("M", "M"), ("F", "F"))])
+        write_wav(wav, AudioBuffer(np.sin(np.arange(3 * rate)), rate))
+        code, out, err = run(capsys, command, "--models", str(store), "--in", str(wav))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {rate} Hz gives ") and err.count("\n") == 1
 
 
 class TestSynthAndMos:

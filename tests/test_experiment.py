@@ -10,6 +10,7 @@ import voicemask.phase_vocoder as phase_vocoder
 import voicemask.vtln as vtln
 from voicemask import (
     ALGORITHMS,
+    AudioBuffer,
     CorpusManifest,
     DegreeSchedule,
     PitchShiftSpec,
@@ -422,6 +423,38 @@ class TestSweepContract:
         skipped = [r.getMessage() for r in caplog.records]
         assert len(skipped) == 2
         assert str(males[0].path) in skipped[0] and str(males[1].path) in skipped[1]
+
+    @pytest.mark.parametrize("rate", [20, 50])
+    def test_a_file_too_low_in_rate_to_frame_is_left_out_of_every_cell(self, tmp_path, caplog,
+                                                                       rate):
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        low = [e for e in manifest.test_entries() if e.gender == "M"][0]
+        write_wav(low.path, AudioBuffer(np.sin(np.arange(3 * rate)), rate))
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            result = run_degree_sweep(manifest, algorithms=("voc", "quadratic"), degrees=(0, 10))
+        assert len(result.rows) == 2 * 2 * 2
+        for row in result.rows:
+            assert row.n_files == (2 if row.gender == "M" else 3)
+        skipped = [r.getMessage() for r in caplog.records]
+        assert len(skipped) == 4
+        for message in skipped:
+            assert message.startswith(f"skipping {low.path} / ") and f": {rate} Hz gives " in message
+
+    def test_a_manifest_path_with_a_nul_byte_is_skipped_with_its_reason(self, tmp_path, caplog):
+        synth_corpus(11, 6, 2, tmp_path)
+        manifest_csv = tmp_path / "manifest.csv"
+        text = manifest_csv.read_text()
+        victim = next(line for line in text.splitlines() if line.endswith(",F,test"))
+        manifest_csv.write_text(text.replace(victim, "a\0b.wav" + victim[victim.index(","):]))
+        manifest = load_manifest(manifest_csv)
+        with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
+            result = run_degree_sweep(manifest, algorithms=("voc", "quadratic"), degrees=(0, 10))
+        for row in result.rows:
+            assert row.n_files == (2 if row.gender == "F" else 3)
+        nul_path = tmp_path / "a\0b.wav"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {nul_path}: cannot read {nul_path}: embedded null byte"
+        ]
 
     def test_a_bad_train_file_leaves_out_only_its_speaker(self, tmp_path, caplog):
         manifest = synth_corpus(11, 6, 2, tmp_path)

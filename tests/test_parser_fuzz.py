@@ -1,23 +1,36 @@
-"""The four text parsers fail only as VoicemaskError, whatever a file holds."""
+"""The four text parsers fail only as VoicemaskError, whatever a file holds.
+
+So do the values a caller builds by hand: sweep rows and pitch analyses.
+"""
 
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voicemask import (
     ALGORITHMS,
+    PitchShiftSpec,
+    StftConfig,
     SweepResult,
     SweepRow,
     aggregate_mos,
+    detect_peaks,
     emit_report,
     find_crossover,
     load_manifest,
     load_models,
     load_sweep,
+    regions_of_influence,
+    shift_analysed,
 )
 from voicemask.errors import InvalidConfig, IoFailure, ParseError, VoicemaskError
+from voicemask.phase_vocoder import VARIANTS
+
+from helpers import pitch_analysis
 
 
 # One valid file per parser, the seed of the mutation fuzzer.
@@ -63,6 +76,10 @@ class TestParserInputs:
     def test_directory_is_io_failure(self, tmp_path, parser):
         with pytest.raises(IoFailure):
             parser(tmp_path)
+
+    def test_nul_byte_in_the_path_is_io_failure(self, tmp_path, parser):
+        with pytest.raises(IoFailure, match="embedded null byte"):
+            parser(tmp_path / "a\0b")
 
     def test_non_utf8_byte_is_parse_error(self, tmp_path, parser):
         path = tmp_path / "latin1.txt"
@@ -200,3 +217,62 @@ class TestSweepValues:
         rows = [only_voicemask_error(SweepRow, *values) for values in fields]
         result = SweepResult(tuple(row for row in rows if row is not None))
         report_only_fails_as_voicemask_error(result, tmp_path_factory.getbasetemp() / "rows")
+
+
+_33_BINS = StftConfig(frame_len=64, hop=16)
+_ANY_INDEX_VALUE = st.one_of(st.integers(-2, 35), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def perturbed_analyses(draw):
+    """Real partitions of random 33-bin frames, then one region entry or one offset set.
+
+    Returns (frames, partitions, inst_freq, offset_edit); offset_edit is
+    (index, value), or None when a (peak, lo, hi) entry was set instead.
+    """
+    voiced = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(voiced), _33_BINS.n_bins)
+    frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
+    partitions = [
+        regions_of_influence(frame, detect_peaks(frame)) if is_voiced else None
+        for frame, is_voiced in zip(frames, voiced)
+    ]
+    inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, shape)
+    value = draw(_ANY_INDEX_VALUE)
+    at = [(t, row) for t, p in enumerate(partitions) if p is not None for row in range(len(p))]
+    if at and draw(st.booleans()):
+        t, row = draw(st.sampled_from(at))
+        partitions[t][row, draw(st.integers(0, 2))] = value
+        return frames, partitions, inst_freq, None
+    return frames, partitions, inst_freq, (draw(st.integers(0, len(voiced))), value)
+
+
+class TestPitchAnalysisValues:
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_analyses(), ratio=st.sampled_from([0.25, 0.8, 1.2, 4.0]))
+    # Regions that leave bins 21..32 of a voiced frame uncovered once failed in
+    # shift_analysed with numpy's broadcast ValueError.
+    @example(
+        case=(
+            np.ones((3, 33), dtype=complex),
+            [np.array([[5, 0, 10], [20, 11, 20]]), None, None],
+            np.zeros((3, 33)),
+            None,
+        ),
+        ratio=1.2,
+    )
+    def test_analysis_is_refused_or_shifts_without_a_stray_error(self, case, ratio):
+        # Refused at construction with InvalidConfig, or shifted in both
+        # variants failing only as VoicemaskError.
+        frames, partitions, inst_freq, offset_edit = case
+        try:
+            analysis = pitch_analysis(frames, partitions, inst_freq, _33_BINS)
+            if offset_edit is not None:
+                offsets = analysis.offsets.copy()
+                offsets[offset_edit[0]] = offset_edit[1]
+                analysis = dataclasses.replace(analysis, offsets=offsets)
+        except InvalidConfig:
+            return
+        for variant in VARIANTS:
+            only_voicemask_error(shift_analysed, analysis, PitchShiftSpec(ratio, variant))

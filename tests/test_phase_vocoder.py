@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -272,8 +274,8 @@ class TestPitchShift:
             PitchShiftSpec(5.0)
         with pytest.raises(ValueError):
             PitchShiftSpec(1.0, variant="rigid")
-        with pytest.raises(ValueError):
-            PitchShiftSpec(1.0, neighbor_span=3)
+        with pytest.raises(TypeError):  # the peak neighbourhood belongs to the analysis
+            PitchShiftSpec(1.0, neighbor_span=4)
 
 
 def voiced_with_gap():
@@ -307,13 +309,18 @@ class TestAnalyseOnce:
         with pytest.raises(ValueError):
             analysis.frames[0, 0] = 0.0
 
-    def test_neighbor_span_must_match(self):
-        analysis = analyse_pitch(make_vowel(seconds=0.3), neighbor_span=4)
-        assert analysis.neighbor_span == 4
-        with pytest.raises(ValueError):
-            shift_analysed(analysis, PitchShiftSpec(1.2))
-        with pytest.raises(ValueError):
-            PhasePropagator(PitchShiftSpec(1.2), analysis)
+    def test_neighbor_span_is_chosen_by_the_analysis_alone(self):
+        buf = AudioBuffer(np.random.default_rng(3).standard_normal(4800), SR)
+        spec = PitchShiftSpec(1.2)
+        wide = analyse_pitch(buf, neighbor_span=4)
+        for frame, partition in zip(wide.frames, frame_partitions(wide)):
+            peaks = detect_peaks(frame, 4)
+            assert (partition is None and peaks.size == 0) or np.array_equal(partition[:, 0], peaks)
+        assert len(wide.regions) < len(analyse_pitch(buf).regions)
+        assert len(shift_analysed(wide, spec)) == len(buf)
+        # pitch_shift analyses with the default span.
+        want = shift_analysed(analyse_pitch(buf, neighbor_span=2), spec).samples.tobytes()
+        assert pitch_shift(buf, spec).samples.tobytes() == want
 
     def test_flat_regions_describe_every_frame(self):
         analysis = analyse_pitch(voiced_with_gap())
@@ -323,8 +330,7 @@ class TestAnalyseOnce:
         for t, (a, b) in enumerate(zip(offsets, offsets[1:])):
             peaks = analysis.regions[a:b, 0]
             assert np.array_equal(analysis.peak_freq[a:b], analysis.inst_freq[t, peaks])
-        assert np.array_equal(analysis.lengths, analysis.regions[:, 2] - analysis.regions[:, 1] + 1)
-        arrays = (analysis.regions, analysis.offsets, analysis.lengths, analysis.peak_freq)
+        arrays = (analysis.regions, analysis.offsets, analysis.peak_freq)
         for array in (*arrays, analysis.bin_region):
             assert not array.flags.writeable
 
@@ -349,7 +355,8 @@ class TestAnalyseOnce:
             ),
             "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape), cfg),
         }[source]()
-        want = np.repeat(np.arange(len(analysis.regions)), analysis.lengths)
+        lengths = analysis.regions[:, 2] - analysis.regions[:, 1] + 1
+        want = np.repeat(np.arange(len(analysis.regions)), lengths)
         assert analysis.bin_region.dtype == np.intp
         assert analysis.bin_region.tobytes() == want.tobytes()
         # Voiced frame after voiced frame, n_bins entries each: the rows of
@@ -376,6 +383,44 @@ class TestAnalyseOnce:
         assert len(calls) == analysis.frames.shape[0]
 
 
+def set_entry(name, index, value):
+    """An edit of an analysis that sets one entry of its regions or offsets."""
+
+    def edit(analysis):
+        array = getattr(analysis, name).copy()
+        array[index] = value
+        return {name: array}
+
+    return edit
+
+
+# Regions are rows 0-1 (frame 0) and 2-4 (frame 2); offsets are [0, 2, 2, 5].
+ANALYSIS_EDITS = {
+    "top bins uncovered": set_entry("regions", (1, 2), 20),
+    "gap between regions": set_entry("regions", (3, 1), 9),
+    "overlapping regions": set_entry("regions", (3, 1), 7),
+    "first region not at bin 0": set_entry("regions", (2, 1), 1),
+    "region past the top bin": set_entry("regions", (4, 2), 33),
+    "peak outside its region": set_entry("regions", (0, 0), 11),
+    "offsets not from 0": set_entry("offsets", 0, 1),
+    "offsets decreasing": set_entry("offsets", 2, 1),
+    "frame boundary moved": set_entry("offsets", 1, 3),
+    "offsets short of the regions": set_entry("offsets", 3, 4),
+    "offsets past the regions": set_entry("offsets", 3, 6),
+    "one offset too few": lambda a: {"offsets": a.offsets[[0, 1, 3]]},
+    "regions of two columns": lambda a: {"regions": a.regions[:, :2]},
+    "float regions": lambda a: {"regions": a.regions.astype(float)},
+    "float offsets": lambda a: {"offsets": a.offsets.astype(float)},
+    "inst_freq of another shape": lambda a: {"inst_freq": a.inst_freq[:2]},
+    "real frames": lambda a: {"frames": a.frames.real},
+    "frames of another size": lambda a: {"config": StftConfig(frame_len=32, hop=8)},
+    "no frames": lambda a: {
+        "frames": a.frames[:0], "inst_freq": a.inst_freq[:0], "regions": a.regions[:0],
+        "offsets": a.offsets[:1],
+    },
+}
+
+
 class TestErrorContract:
     """Bad arguments raise InvalidConfig, a toolkit error that is also a ValueError."""
 
@@ -384,17 +429,28 @@ class TestErrorContract:
         [
             lambda: PitchShiftSpec(5.0),
             lambda: PitchShiftSpec(1.0, variant="rigid"),
-            lambda: PitchShiftSpec(1.0, neighbor_span=3),
             lambda: detect_peaks(np.ones(8, dtype=complex), 3),
-            lambda: shift_analysed(analyse_pitch(make_vowel(seconds=0.1), neighbor_span=4),
-                                   PitchShiftSpec(1.2)),
+            lambda: analyse_pitch(make_vowel(seconds=0.1), neighbor_span=3),
         ],
-        ids=["ratio", "variant", "span", "peak span", "analysis span"],
+        ids=["ratio", "variant", "peak span", "analysis span"],
     )
     def test_bad_arguments_are_invalid_config(self, call):
         with pytest.raises(InvalidConfig) as caught:
             call()
         assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("edit", list(ANALYSIS_EDITS))
+    def test_arrays_that_are_not_one_analysis_are_invalid_config(self, edit):
+        # Frames 0 and 2 of 33 bins are voiced, frame 1 is peak-free.
+        cfg = StftConfig(frame_len=64, hop=16)
+        partitions = [
+            np.array([[5, 0, 10], [20, 11, 32]]),
+            None,
+            np.array([[3, 0, 7], [16, 8, 24], [28, 25, 32]]),
+        ]
+        analysis = pitch_analysis(np.ones((3, 33)), partitions, np.zeros((3, 33)), cfg)
+        with pytest.raises(InvalidConfig):
+            dataclasses.replace(analysis, **ANALYSIS_EDITS[edit](analysis))
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_advance_past_the_last_frame_is_invalid_config(self, variant):

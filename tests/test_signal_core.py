@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from voicemask import (
     AudioBuffer,
+    SpeakerModel,
     Spectrogram,
     StftConfig,
+    SweepResult,
+    SweepRow,
+    emit_report,
     istft,
     read_wav,
+    save_models,
     stft,
+    synth_corpus,
     write_wav,
 )
 from voicemask.errors import (
@@ -25,7 +31,7 @@ from voicemask.errors import (
     VoicemaskError,
 )
 from voicemask.signal_core import _BLOCK_FRAMES as B
-from voicemask.signal_core import _overlap_plan, cola_deviation
+from voicemask.signal_core import _overlap_plan, cola_deviation, read_text
 
 from helpers import SR, interior_snr_db, make_tone
 
@@ -318,6 +324,26 @@ class TestWriteWav:
         write_wav(path, AudioBuffer(np.zeros(10), 2**31 - 1))
         assert read_wav(path).sample_rate == 2**31 - 1
 
+
+class TestPathWithANulByte:
+    """The system refuses a path holding a NUL byte; every reader and writer says IoFailure."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            read_wav,
+            read_text,
+            lambda path: write_wav(path, AudioBuffer(np.zeros(4), SR)),
+            lambda path: save_models(path, [SpeakerModel("spk00", "M", np.eye(2), 10)]),
+            lambda path: emit_report(SweepResult((SweepRow("voc", "M", 0, 1.0, 1.0, 1),)), path),
+            lambda path: synth_corpus(1, 2, 2, path),
+        ],
+        ids=["read_wav", "read_text", "write_wav", "save_models", "emit_report", "synth_corpus"],
+    )
+    def test_is_io_failure(self, tmp_path, call):
+        with pytest.raises(IoFailure, match="embedded null byte"):
+            call(tmp_path / "a\0b")
+        assert list(tmp_path.iterdir()) == []
 
 class TestStft:
     def test_zero_signal_frame_count(self):

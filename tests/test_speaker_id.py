@@ -55,6 +55,15 @@ class TestExtractCepstra:
         with pytest.raises(TooShort):
             extract_cepstra(AudioBuffer(np.zeros(100), SR))
 
+    @pytest.mark.parametrize("rate", [20, 50])
+    def test_rate_too_low_to_frame_is_invalid_config(self, rate):
+        # The 10 ms hop rounds to 0 samples at 50 Hz and below, the 25 ms frame at 20 Hz.
+        with pytest.raises(InvalidConfig, match=f"^{rate} Hz gives "):
+            extract_cepstra(AudioBuffer(np.ones(10 * rate), rate))
+
+    def test_lowest_rate_with_a_one_sample_hop_is_framed(self):
+        assert extract_cepstra(AudioBuffer(np.ones(500), 51)).shape == (500, 12)
+
     def test_order_respected(self):
         cfg = FeatureConfig(order=8)
         feats = extract_cepstra(make_vowel(seconds=0.3), cfg)
