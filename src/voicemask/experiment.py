@@ -42,6 +42,7 @@ from .errors import (
 from .signal_core import read_wav
 from .speaker_id import (
     SpeakerModel,
+    _feature_framing,
     classify_gender,
     covariance_model,
     extract_cepstra,
@@ -184,6 +185,7 @@ def _sweep_file(entry: ManifestEntry, schedules, degrees, models):
     analysers = {schedule.family: schedule.analyse for schedule in schedules}
     try:
         buf = read_wav(entry.path)
+        _feature_framing(buf)  # transforms keep the rate and length
         analyses = {family: analyse(buf) for family, analyse in analysers.items()}
     except VoicemaskError as exc:
         return {}, [f"skipping {entry.path}: {exc}"]
@@ -233,12 +235,12 @@ def run_degree_sweep(
     test file is read and analysed once per transform family, then modified
     at every (algorithm, degree) cell (see _sweep_file); the files' skips are
     logged in manifest order and their hits summed by cell. A file that
-    cannot be read or analysed, or whose speaker is not enrolled, is left
-    out of every cell; a per-cell transform or modeling failure is excluded
-    from that cell's n_files. The aggregation is order-independent.
-    Algorithms that _sweep_algorithms refuses, no degree, a repeated degree,
-    one that is not an integer or one outside 0..MAX_DEGREE raise
-    InvalidConfig before any audio is read.
+    cannot be read, featurised or analysed, or whose speaker is not
+    enrolled, is left out of every cell; a per-cell transform or modeling
+    failure is excluded from that cell's n_files. The aggregation is
+    order-independent. Algorithms that _sweep_algorithms refuses, no degree,
+    a repeated degree, one that is not an integer or one outside
+    0..MAX_DEGREE raise InvalidConfig before any audio is read.
     """
     schedules = [DegreeSchedule(algo) for algo in _sweep_algorithms(algorithms)]
     try:

@@ -92,6 +92,20 @@ def _peak_mask(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
     return is_peak
 
 
+def _ranks(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, keys)`` of ascending keys, by one merge.
+
+    Both arrays ascend, so a stable sort of keys-then-values merges two runs
+    in one linear pass (numpy's stable sort is a timsort). A key lands after
+    every value below it and before every equal one: its place in the merge
+    less its index is its rank.
+    """
+    merged = np.concatenate((keys, values)).argsort(kind="stable")
+    ranks = np.flatnonzero(merged < keys.size)
+    ranks -= np.arange(keys.size)
+    return ranks
+
+
 def _partition(mag: np.ndarray, is_peak: np.ndarray) -> np.ndarray:
     """Regions of influence of the marked peaks of every row, in one pass.
 
@@ -109,7 +123,7 @@ def _partition(mag: np.ndarray, is_peak: np.ndarray) -> np.ndarray:
         ((mid <= mag[:, :-2]) | is_peak[:, :-2]) & ((mid <= mag[:, 2:]) | is_peak[:, 2:])
     ) & ~is_peak[:, 1:-1]
     at = np.flatnonzero(candidate)
-    closing = np.searchsorted(peak_at, at)  # the peak that ends each candidate's gap
+    closing = _ranks(at, peak_at)  # the peak that ends each candidate's gap
     row = peak_at // n
     in_gap = np.concatenate(([False], row[1:] == row[:-1], [False]))[closing]
     at, closing = at[in_gap], closing[in_gap]
@@ -230,7 +244,7 @@ class PhasePropagator:
         first, one gather and add per frame. A new track (source -1) reads
         the trailing 0.0 and adds 0.0, so it starts from the analysis phase.
         """
-        sources = self._match(size)
+        sources = self._match(self.analysis.peak_frame, self._peak_dests, size)
         step = self.analysis.config.hop * (self.spec.ratio - 1.0)
         increments = step * self.analysis.peak_freq
         increments[sources < 0] = 0.0
@@ -241,18 +255,20 @@ class PhasePropagator:
                 np.add(angles.take(sources[lo:hi]), increments[lo:hi], out=angles[lo:hi])
         return angles
 
-    def _match(self, size: int) -> np.ndarray:
+    @staticmethod
+    def _match(peak_frame: np.ndarray, dests: np.ndarray, size: int) -> np.ndarray:
         """Row of each peak's nearest kept track in the previous frame, -1 if none.
 
-        Of equal destinations in a frame only the last peak's track is kept.
-        Frame t's destinations are keyed t * stride + dest, so the keys ascend
-        (see README) and keys of two frames lie further apart than the
-        tolerance: one search serves all frames.
+        ``peak_frame`` and ``dests`` give each peak's frame and destination
+        bin in [0, size), ascending within a frame. Of equal destinations in
+        a frame only the last peak's track is kept. Frame t's destinations
+        are keyed t * stride + dest, so the keys ascend (see README) and
+        keys of two frames lie further apart than the tolerance: one merge
+        serves all frames.
         """
-        offsets = self.analysis.offsets
         stride = size + _TRACK_MATCH_TOLERANCE + 1
-        keys = np.repeat(np.arange(offsets.size - 1) * stride, np.diff(offsets))
-        keys += self._peak_dests
+        keys = peak_frame * stride
+        keys += dests
         kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
         # The tracks as keys of the next frame, bounded by the sentinels.
         known = np.empty(kept.size + 2, dtype=np.intp)
@@ -262,7 +278,7 @@ class PhasePropagator:
         # half[i-1] < q <= half[i], where half[i] = floor((track i + track i+1) / 2).
         half = known[:-1] + known[1:]
         half >>= 1
-        nearest = half.searchsorted(keys)
+        nearest = _ranks(keys, half)
         del half
         far = known.take(nearest)
         far -= keys
@@ -317,11 +333,14 @@ def _render_blocks(spec, analysis, angles, shifts, offset, size):
         rows = work[:, offset : offset + n]
         region = a.bin_region[bins : bins + voiced.size * n]
         bins += region.size
-        values = frames[voiced].reshape(-1)
+        # A fully voiced block is read in place, not gathered.
+        values = (frames if voiced.size == len(frames) else frames[voiced]).reshape(-1)
         if locked:
             # Frame 0's tracks have angle 0; a rotation by exactly 1 changes
             # at most the sign of a zero, which the sum into +0 drops.
-            np.multiply(values, rotations.take(region), out=values)
+            rotated = rotations.take(region)
+            values = np.multiply(values, rotated, out=rotated)
+            del rotated
         # Each bin goes to row * size + slot + its region's shift; bins beyond
         # the spectrum land in the margins of their work row, and colliding
         # regions add up in region order.
@@ -380,11 +399,12 @@ class PitchAnalysis:
     since frame t-1; row 0 has no predecessor and holds the bin centres.
     ``regions`` holds every frame's regions of influence as (peak, lo, hi)
     rows, frame t's at rows ``offsets[t]:offsets[t + 1]``. Derived from
-    these: ``peak_freq``, the instantaneous frequency at each region's peak,
-    and ``bin_region``, the row of ``regions`` that owns each bin, voiced
-    frame after voiced frame. All arrays are read-only. Arrays that are not
-    one such analysis, or regions that do not tile each voiced frame around
-    their peaks, are InvalidConfig.
+    these: ``peak_frame``, the frame of each region, ``peak_freq``, the
+    instantaneous frequency at each region's peak, and ``bin_region``, the
+    row of ``regions`` that owns each bin, voiced frame after voiced frame.
+    All arrays are read-only. Arrays that are not one such analysis, or
+    regions that do not tile each voiced frame around their peaks, are
+    InvalidConfig.
     """
 
     frames: np.ndarray
@@ -394,6 +414,7 @@ class PitchAnalysis:
     config: StftConfig
     sample_rate: int
     n_samples: int
+    peak_frame: np.ndarray = field(init=False, repr=False, compare=False)
     peak_freq: np.ndarray = field(init=False, repr=False, compare=False)
     bin_region: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -417,11 +438,13 @@ class PitchAnalysis:
         if not (tiled and np.all((lo <= peak) & (peak <= hi) & (hi < n))):
             raise InvalidConfig("each voiced frame's regions must cover its bins in order")
         frame_of = np.repeat(np.arange(len(frames)), counts)
+        object.__setattr__(self, "peak_frame", frame_of)
         object.__setattr__(self, "peak_freq", self.inst_freq[frame_of, peak])
         # One repeat per analysis: every pitch cell of the buffer gathers
         # through it instead of repeating its rotations and shifts.
         object.__setattr__(self, "bin_region", np.repeat(np.arange(peak.size), hi - lo + 1))
-        for array in (frames, self.inst_freq, regions, offsets, self.peak_freq, self.bin_region):
+        derived = (frame_of, self.peak_freq, self.bin_region)
+        for array in (frames, self.inst_freq, regions, offsets, *derived):
             array.setflags(write=False)
 
 

@@ -127,23 +127,31 @@ def _mel_filterbank(n_mel: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Mel-cepstral coefficients c1..c_order per frame, shape (n_frames, order).
+def _feature_framing(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> tuple[int, int]:
+    """The feature frame and hop of a buffer, in samples, if it can be featurised.
 
-    Pipeline: pre-emphasis, Hann-windowed frames, magnitude spectrum, mel
-    filterbank, log energies floored at 1e-10, orthonormal DCT-II with c0
-    dropped. A sample rate too low for a one-sample frame and hop is
-    InvalidConfig.
+    A sample rate too low for a one-sample frame and hop is InvalidConfig; a
+    buffer shorter than one frame is TooShort.
     """
     fs = buf.sample_rate
     frame = int(round(cfg.frame_ms * fs / 1000.0))
     hop = int(round(cfg.hop_ms * fs / 1000.0))
     if min(frame, hop) < 1:
         raise InvalidConfig(f"{fs} Hz gives {frame}-sample frames and {hop}-sample hops")
-    x = buf.samples
-    if x.size < frame:
-        raise TooShort(f"need at least {frame} samples, got {x.size}")
+    if len(buf) < frame:
+        raise TooShort(f"need at least {frame} samples, got {len(buf)}")
+    return frame, hop
 
+
+def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Mel-cepstral coefficients c1..c_order per frame, shape (n_frames, order).
+
+    Pipeline: pre-emphasis, Hann-windowed frames, magnitude spectrum, mel
+    filterbank, log energies floored at 1e-10, orthonormal DCT-II with c0
+    dropped. A buffer that _feature_framing refuses raises its error.
+    """
+    frame, hop = _feature_framing(buf, cfg)
+    fs, x = buf.sample_rate, buf.samples
     emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame)[::hop]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)

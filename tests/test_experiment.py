@@ -424,21 +424,50 @@ class TestSweepContract:
         assert len(skipped) == 2
         assert str(males[0].path) in skipped[0] and str(males[1].path) in skipped[1]
 
-    @pytest.mark.parametrize("rate", [20, 50])
-    def test_a_file_too_low_in_rate_to_frame_is_left_out_of_every_cell(self, tmp_path, caplog,
-                                                                       rate):
-        manifest = synth_corpus(11, 6, 2, tmp_path)
-        low = [e for e in manifest.test_entries() if e.gender == "M"][0]
-        write_wav(low.path, AudioBuffer(np.sin(np.arange(3 * rate)), rate))
+    @staticmethod
+    def sweep_without_a_file(manifest, buf, monkeypatch, caplog):
+        """Sweep with a male test file replaced by buf, which no cell counts; returns its entry."""
+        bad = [e for e in manifest.test_entries() if e.gender == "M"][0]
+        write_wav(bad.path, buf)
+        transformed = []
+        original_apply = DegreeSchedule.apply
+
+        def apply(self, analysis, *args, **kwargs):
+            transformed.append(analysis.n_samples)
+            return original_apply(self, analysis, *args, **kwargs)
+
+        monkeypatch.setattr(DegreeSchedule, "apply", apply)
         with caplog.at_level(logging.WARNING, logger="voicemask.experiment"):
             result = run_degree_sweep(manifest, algorithms=("voc", "quadratic"), degrees=(0, 10))
         assert len(result.rows) == 2 * 2 * 2
         for row in result.rows:
             assert row.n_files == (2 if row.gender == "M" else 3)
-        skipped = [r.getMessage() for r in caplog.records]
-        assert len(skipped) == 4
-        for message in skipped:
-            assert message.startswith(f"skipping {low.path} / ") and f": {rate} Hz gives " in message
+        # Every other test file is transformed once per cell, the bad one never.
+        assert len(transformed) == 5 * 2 * 2 and len(buf) not in transformed
+        return bad
+
+    @pytest.mark.parametrize("rate", [20, 50])
+    def test_a_file_too_low_in_rate_to_frame_is_left_out_of_every_cell(
+        self, tmp_path, monkeypatch, caplog, rate
+    ):
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        buf = AudioBuffer(np.sin(np.arange(3 * rate)), rate)
+        low = self.sweep_without_a_file(manifest, buf, monkeypatch, caplog)
+        frames = {20: 0, 50: 1}[rate]  # 25 ms frames and 10 ms hops, rounded half to even
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {low.path}: {rate} Hz gives {frames}-sample frames and 0-sample hops"
+        ]
+
+    def test_a_file_shorter_than_a_feature_frame_is_left_out_of_every_cell(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # A 25 ms feature frame is 400 samples at 16 kHz.
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        buf = AudioBuffer(np.sin(np.arange(399) / 10.0), SR)
+        short = self.sweep_without_a_file(manifest, buf, monkeypatch, caplog)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {short.path}: need at least 400 samples, got 399"
+        ]
 
     def test_a_manifest_path_with_a_nul_byte_is_skipped_with_its_reason(self, tmp_path, caplog):
         synth_corpus(11, 6, 2, tmp_path)

@@ -10,6 +10,7 @@ peak.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -101,3 +102,27 @@ class TestOneFrameCase:
         peaks = data.draw(peak_sets(frame.size))
         want = peak_reference.regions_of_influence(np.abs(frame), peaks)
         assert_same(regions_of_influence(frame, peaks), want)
+
+
+# Marked peaks per row of a 17-bin stack: each gap closes at the next peak of
+# its row, found by ranking the gap's candidates among all the stack's peaks.
+CLOSING_LAYOUTS = {
+    "one peak": [[8]],
+    "two peaks": [[3, 12]],
+    "many peaks": [[0, 2, 5, 9, 11, 16]],
+    "rows of 1, 2 and many peaks": [[8], [], [3, 12], [0, 2, 5, 9, 11, 16], [], [16], [0]],
+}
+
+
+class TestClosingPeaks:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("layout", list(CLOSING_LAYOUTS))
+    def test_partition_of_marked_rows_byte_equal(self, layout, seed):
+        # Magnitudes of four levels make ties inside gaps common.
+        rows = CLOSING_LAYOUTS[layout]
+        mag = np.random.default_rng(seed).integers(0, 4, (len(rows), 17)).astype(float)
+        is_peak = np.zeros(mag.shape, dtype=bool)
+        for t, peaks in enumerate(rows):
+            is_peak[t, peaks] = True
+        want = [peak_reference.regions_of_influence(m, p) for m, p in zip(mag, rows) if p]
+        assert_same(phase_vocoder._partition(mag, is_peak), np.concatenate(want))

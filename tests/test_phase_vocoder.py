@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from voicemask import (
     analyse_pitch,
     detect_peaks,
     pitch_shift,
+    read_wav,
     regions_of_influence,
     shift_analysed,
+    synth_corpus,
 )
 from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
 from voicemask.phase_vocoder import VARIANTS, princarg
@@ -287,6 +290,28 @@ def voiced_with_gap():
 ANALYSIS_RATIOS = (1.0, 2.0 ** (13 / 24), 2.0 ** (-13 / 24), 2.0 ** (25 / 24), 2.0 ** (-25 / 24))
 
 
+ANALYSIS_SOURCES = ["voiced with gap", "tone", "one frame", "silence", "built: gaps", "built: none"]
+
+
+def analysis_from(source):
+    """An analysis of a real buffer, or one built from random 33-bin frames."""
+    cfg = StftConfig(frame_len=64, hop=16)
+    rng = np.random.default_rng(4)
+    frames = rng.random((5, cfg.n_bins)) * np.exp(2j * np.pi * rng.random((5, cfg.n_bins)))
+    partitions = [regions_of_influence(f, detect_peaks(f)) for f in frames]
+    return {
+        "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
+        "tone": lambda: analyse_pitch(make_tone(440.0, seconds=0.3)),
+        "one frame": lambda: analyse_pitch(make_tone(440.0, seconds=0.01)),
+        "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
+        "built: gaps": lambda: pitch_analysis(
+            frames, [partitions[0], None, partitions[2], None, partitions[4]],
+            np.zeros(frames.shape), cfg,
+        ),
+        "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape), cfg),
+    }[source]()
+
+
 class TestAnalyseOnce:
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_reused_analysis_equals_fresh_pitch_shift(self, variant):
@@ -334,27 +359,11 @@ class TestAnalyseOnce:
         for array in (*arrays, analysis.bin_region):
             assert not array.flags.writeable
 
-    @pytest.mark.parametrize(
-        "source", ["voiced with gap", "tone", "one frame", "silence", "built: gaps", "built: none"]
-    )
+    @pytest.mark.parametrize("source", ANALYSIS_SOURCES)
     def test_bin_region_is_each_bins_region(self, source):
         # The per-bin table _render_blocks gathers through, against the
         # np.repeat form that tests/phase_reference.py builds per frame.
-        cfg = StftConfig(frame_len=64, hop=16)
-        rng = np.random.default_rng(4)
-        frames = rng.random((5, cfg.n_bins)) * np.exp(2j * np.pi * rng.random((5, cfg.n_bins)))
-        partitions = [regions_of_influence(f, detect_peaks(f)) for f in frames]
-        analysis = {
-            "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
-            "tone": lambda: analyse_pitch(make_tone(440.0, seconds=0.3)),
-            "one frame": lambda: analyse_pitch(make_tone(440.0, seconds=0.01)),
-            "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
-            "built: gaps": lambda: pitch_analysis(
-                frames, [partitions[0], None, partitions[2], None, partitions[4]],
-                np.zeros(frames.shape), cfg,
-            ),
-            "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape), cfg),
-        }[source]()
+        analysis = analysis_from(source)
         lengths = analysis.regions[:, 2] - analysis.regions[:, 1] + 1
         want = np.repeat(np.arange(len(analysis.regions)), lengths)
         assert analysis.bin_region.dtype == np.intp
@@ -367,6 +376,16 @@ class TestAnalyseOnce:
         for row, (t, p) in zip(table, voiced):
             one_frame = np.repeat(np.arange(len(p)), p[:, 2] - p[:, 1] + 1)
             assert row.tobytes() == (analysis.offsets[t] + one_frame).tobytes()
+
+    @pytest.mark.parametrize("source", ANALYSIS_SOURCES)
+    def test_peak_frame_is_each_regions_frame(self, source):
+        # The frame index each pitch cell keys its track search with.
+        analysis = analysis_from(source)
+        want = [t for t, p in enumerate(frame_partitions(analysis)) if p is not None for _ in p]
+        assert analysis.peak_frame.dtype == np.intp
+        assert analysis.peak_frame.tolist() == want
+        assert len(analysis.peak_frame) == len(analysis.regions)
+        assert not analysis.peak_frame.flags.writeable
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_advance_runs_once_per_frame(self, monkeypatch, variant):
@@ -381,6 +400,33 @@ class TestAnalyseOnce:
         analysis = analyse_pitch(voiced_with_gap())
         shift_analysed(analysis, PitchShiftSpec(0.8, variant=variant))
         assert len(calls) == analysis.frames.shape[0]
+
+
+@pytest.fixture(scope="module")
+def corpus_analysis(tmp_path_factory):
+    """The analysis of a 3 s synthetic-corpus utterance: 184 frames, 22,333 regions."""
+    manifest = synth_corpus(3, 2, 2, tmp_path_factory.mktemp("corpus"))
+    analysis = analyse_pitch(read_wav(manifest.entries[0].path))
+    assert analysis.frames.shape == (184, 513) and len(analysis.regions) == 22333
+    return analysis
+
+
+class TestMemory:
+    @pytest.mark.parametrize("ratio", [0.5, 1.19, 2.06])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_shift_stays_below_its_bound(self, corpus_analysis, variant, ratio):
+        # The traced peak, output included, is 3.13-3.50 MB over these six
+        # cells; a whole-cell bin-level plan would add about 4 MB. The bound
+        # leaves about 11% of margin over the largest.
+        spec = PitchShiftSpec(ratio, variant)
+        shift_analysed(corpus_analysis, spec)  # fills istft's divisor cache
+        tracemalloc.start()
+        try:
+            shift_analysed(corpus_analysis, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.9e6
 
 
 def set_entry(name, index, value):

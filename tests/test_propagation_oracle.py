@@ -32,7 +32,7 @@ from voicemask import (
     shift_analysed,
 )
 from voicemask.errors import NonFiniteSignal
-from voicemask.phase_vocoder import _BLOCK_FRAMES
+from voicemask.phase_vocoder import _BLOCK_FRAMES, _ranks, _translation
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import phase_reference
@@ -295,3 +295,85 @@ class TestTransformsStayFinite:
         assert len(out) == len(buf)
         assert out.sample_rate == buf.sample_rate
         assert np.all(np.isfinite(out.samples))
+
+
+
+def brute_force_sources(peak_frame, dests):
+    """Each peak's track row in the previous frame by an exhaustive search, -1 if none.
+
+    A frame's tracks are its distinct destinations, each the row of the
+    last peak that has it; a peak continues the nearest track within the
+    tolerance, ties to the lower bin.
+    """
+    sources, tracks = [], {}  # tracks[t]: destination -> row, for frame t
+    for row, (t, dest) in enumerate(zip(peak_frame.tolist(), dests.tolist())):
+        previous = tracks.get(t - 1, {})
+        near = min(previous, key=lambda d: (abs(d - dest), d), default=None)
+        ok = near is not None and abs(near - dest) <= phase_reference.TRACK_MATCH_TOLERANCE
+        sources.append(previous[near] if ok else -1)
+        tracks.setdefault(t, {})[dest] = row
+    return sources
+
+
+@st.composite
+def ascending_keys(draw):
+    """(peak_frame, dests, size): each frame's destinations ascend in [0, size)."""
+    size = draw(st.integers(1, 40))
+    per_frame = draw(st.lists(st.lists(st.integers(0, size - 1), max_size=12), min_size=1,
+                              max_size=8))
+    dests = [sorted(frame) for frame in per_frame]
+    peak_frame = np.repeat(np.arange(len(dests)), [len(d) for d in dests])
+    return peak_frame, np.array(sum(dests, []), dtype=np.intp), size
+
+
+# Peaks per frame (None if peak-free) in 33 bins, and the sources _match must
+# give, row by row.
+MATCH_CASES = {
+    # Peaks 10 and 12 both land on bin 3: frame 2 continues the second one.
+    "r < 1, equal destinations": (0.25, [[10, 12], [10, 12], [10]], [-1, -1, 1, 1, 3]),
+    "halfway between two tracks": (1.0, [[10, 16], [13]], [-1, -1, 0]),
+    "4 and 5 bins from a track": (1.0, [[10, 30], [14, 25]], [-1, -1, 0, -1]),
+    "tracks next to the sentinels": (1.0, [[2, 30], [0, 32], [16]], [-1, -1, 0, 1, -1]),
+    "peak-free frames between": (1.0, [[10, 20], None, None, [10, 20], [11]], [-1] * 4 + [2]),
+    "one frame": (1.2, [[5, 20]], [-1, -1]),
+}
+
+
+class TestTrackMatch:
+    """_match ranks keys by one merge; it must pick the tracks an exhaustive search picks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=ascending_keys())
+    def test_matches_brute_force(self, case):
+        peak_frame, dests, size = case
+        sources = PhasePropagator._match(peak_frame, dests, size)
+        assert sources.dtype == np.intp
+        assert sources.tolist() == brute_force_sources(peak_frame, dests)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        keys=st.lists(st.integers(-50, 50)).map(sorted),
+        values=st.lists(st.integers(-50, 50)).map(sorted),
+    )
+    def test_ranks_are_searchsorted(self, keys, values):
+        keys, values = np.array(keys, dtype=np.intp), np.array(values, dtype=np.intp)
+        assert _ranks(keys, values).tolist() == np.searchsorted(values, keys).tolist()
+
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    @pytest.mark.parametrize("case", list(MATCH_CASES))
+    def test_targeted_cases(self, case, variant):
+        ratio, peaks, want = MATCH_CASES[case]
+        cfg = CONFIGS[0]
+        rng = np.random.default_rng(7)
+        shape = (len(peaks), cfg.n_bins)
+        frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
+        partitions = [
+            None if p is None else regions_of_influence(frame, p) for frame, p in zip(frames, peaks)
+        ]
+        inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, shape)
+        analysis = pitch_analysis(frames, partitions, inst_freq, cfg)
+        shifts, _, size = _translation(ratio, cfg.n_bins)
+        dests = analysis.regions[:, 0] + shifts[analysis.regions[:, 0]]
+        assert brute_force_sources(analysis.peak_frame, dests) == want
+        assert PhasePropagator._match(analysis.peak_frame, dests, size).tolist() == want
+        assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))
