@@ -67,16 +67,23 @@ class AudioBuffer:
         return self.samples.size
 
 
+@functools.lru_cache(maxsize=8)
 def _window_samples(kind: str, n: int) -> np.ndarray:
-    # Periodic windows: the COLA property holds for hop = n / 2^k.
+    """The periodic ``kind`` window of n samples, built once and read-only.
+
+    Periodic windows: the COLA property holds for hop = n / 2^k.
+    """
     t = np.arange(n)
     if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * t / n)
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * t / n)
-    if kind == "rect":
-        return np.ones(n)
-    raise InvalidConfig(f"unknown window kind {kind!r}")
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * t / n)
+    elif kind == "hamming":
+        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * t / n)
+    elif kind == "rect":
+        w = np.ones(n)
+    else:
+        raise InvalidConfig(f"unknown window kind {kind!r}")
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,7 @@ class StftConfig:
         return self.frame_len // 2 + 1
 
     def window_samples(self) -> np.ndarray:
+        """The analysis window: one shared read-only array per (kind, frame_len)."""
         return _window_samples(self.window, self.frame_len)
 
 

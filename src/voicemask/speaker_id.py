@@ -33,7 +33,7 @@ from .errors import (
     TooFewFrames,
     TooShort,
 )
-from .signal_core import AudioBuffer, read_text
+from .signal_core import AudioBuffer, _window_samples, read_text
 
 __all__ = [
     "FeatureConfig",
@@ -154,7 +154,7 @@ def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> n
     fs, x = buf.sample_rate, buf.samples
     emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame)[::hop]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    window = _window_samples("hann", frame)
 
     n_fft = 1 << (frame - 1).bit_length()
     # Windowed frames go _FEATURE_BLOCK at a time into one zero-padded

@@ -212,14 +212,45 @@ class WarpAnalysis:
     n_samples: int
 
     def __post_init__(self):
-        self.magnitude.setflags(write=False)
-        self.phase.setflags(write=False)
+        mag, phase, n = self.magnitude, self.phase, self.config.n_bins
+        if not (
+            mag.shape == phase.shape and mag.ndim == 2 and mag.shape[0] > 0
+            and mag.shape[1] == n and mag.dtype.kind == phase.dtype.kind == "f"
+        ):
+            raise InvalidConfig(f"magnitude and phase must be real arrays of {n}-bin frames")
+        mag.setflags(write=False)
+        phase.setflags(write=False)
+
+
+def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phase, axis=1)`` of finite phases, in place and byte for byte.
+
+    numpy's correction of a step ``dd`` is 0 for ``|dd| < pi``, so only the
+    steps that wrap are corrected, by numpy's own expressions; the others add
+    an exact 0 to the same running sum. Only a NaN step, which finite phases
+    never make, is treated differently.
+    """
+    dd = np.diff(phase, axis=1)
+    wraps = np.flatnonzero((dd >= np.pi) | (dd <= -np.pi))
+    steps = dd.reshape(-1).take(wraps)
+    mod = np.add(steps, np.pi)
+    np.mod(mod, 2.0 * np.pi, out=mod)
+    mod -= np.pi
+    # A step of exactly +pi keeps its sign, as in np.unwrap.
+    mod[(mod == -np.pi) & (steps > 0)] = np.pi
+    mod -= steps
+    correction = dd  # the steps are taken: dd becomes the zero array
+    correction.fill(0.0)
+    correction.reshape(-1)[wraps] = mod
+    np.cumsum(correction, axis=1, out=correction)
+    phase[:, 1:] += correction
+    return phase
 
 
 def analyse_warp(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> WarpAnalysis:
     """Analyse a buffer once for warping with any family and alpha."""
     frames = stft(buf, cfg).frames
-    phase = np.unwrap(np.angle(frames), axis=1)
+    phase = _unwrap_rows(np.angle(frames))
     return WarpAnalysis(np.abs(frames), phase, cfg, buf.sample_rate, len(buf))
 
 

@@ -10,15 +10,17 @@ from voicemask import (
     PitchShiftSpec,
     StftConfig,
     analyse_pitch,
+    analyse_warp,
     detect_peaks,
     pitch_shift,
     read_wav,
     regions_of_influence,
     shift_analysed,
+    stft,
     synth_corpus,
 )
 from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
-from voicemask.phase_vocoder import VARIANTS, princarg
+from voicemask.phase_vocoder import VARIANTS, _instantaneous_frequency, princarg
 
 import phase_reference
 from helpers import (
@@ -290,7 +292,10 @@ def voiced_with_gap():
 ANALYSIS_RATIOS = (1.0, 2.0 ** (13 / 24), 2.0 ** (-13 / 24), 2.0 ** (25 / 24), 2.0 ** (-25 / 24))
 
 
-ANALYSIS_SOURCES = ["voiced with gap", "tone", "one frame", "silence", "built: gaps", "built: none"]
+ANALYSIS_SOURCES = [
+    "voiced with gap", "voiced with gap, span 4", "noise, span 4", "tone", "one frame", "silence",
+    "built: gaps", "built: none",
+]
 
 
 def analysis_from(source):
@@ -301,6 +306,10 @@ def analysis_from(source):
     partitions = [regions_of_influence(f, detect_peaks(f)) for f in frames]
     return {
         "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
+        "voiced with gap, span 4": lambda: analyse_pitch(voiced_with_gap(), neighbor_span=4),
+        "noise, span 4": lambda: analyse_pitch(
+            AudioBuffer(rng.standard_normal(4800), SR), neighbor_span=4
+        ),
         "tone": lambda: analyse_pitch(make_tone(440.0, seconds=0.3)),
         "one frame": lambda: analyse_pitch(make_tone(440.0, seconds=0.01)),
         "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
@@ -403,12 +412,86 @@ class TestAnalyseOnce:
 
 
 @pytest.fixture(scope="module")
-def corpus_analysis(tmp_path_factory):
-    """The analysis of a 3 s synthetic-corpus utterance: 184 frames, 22,333 regions."""
+def corpus_buffer(tmp_path_factory):
+    """A 3 s synthetic-corpus utterance."""
     manifest = synth_corpus(3, 2, 2, tmp_path_factory.mktemp("corpus"))
-    analysis = analyse_pitch(read_wav(manifest.entries[0].path))
+    return read_wav(manifest.entries[0].path)
+
+
+@pytest.fixture(scope="module")
+def corpus_analysis(corpus_buffer):
+    """The analysis of a 3 s synthetic-corpus utterance: 184 frames, 22,333 regions."""
+    analysis = analyse_pitch(corpus_buffer)
     assert analysis.frames.shape == (184, 513) and len(analysis.regions) == 22333
     return analysis
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory of one call, the output included."""
+    fn(*args)  # fills the window cache
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def frozen_inst_freq(frames, hop):
+    """analyse_pitch's instantaneous frequency as the one expression it once was."""
+    phase, omega = np.angle(frames), phase_reference.bin_frequencies(frames.shape[1])
+    inst_freq = np.empty_like(phase)
+    inst_freq[0] = omega
+    inst_freq[1:] = omega + phase_reference.princarg(phase[1:] - phase[:-1] - hop * omega) / hop
+    return inst_freq
+
+
+def boundary_frames():
+    """Frames of angle 0, pi or -pi at the bins where hop * omega is 0, pi, 2 pi or 4 pi.
+
+    With 1024-sample frames and a 256-sample hop, bins 0, 2, 4 and 8 advance
+    by those exact multiples of pi, so their phase steps put princarg's
+    argument exactly on a ceil boundary, an odd multiple of pi.
+    """
+    cfg = StftConfig()
+    rng = np.random.default_rng(11)
+    frames = rng.standard_normal((6, cfg.n_bins)) + 1j * rng.standard_normal((6, cfg.n_bins))
+    angles = np.array([0.0, np.pi, -np.pi])
+    for k in (0, 2, 4, 8):
+        values = angles[rng.integers(0, 3, 6)]
+        # -1 - 0j has angle -pi: arctan2(-0.0, -1.0).
+        negative = np.where(values > 0, -1.0 + 0j, complex(-1.0, -0.0))
+        frames[:, k] = np.where(values == 0.0, 1.0, negative)
+    return frames, cfg.hop
+
+
+class TestInstantaneousFrequency:
+    """inst_freq is built in place; it must keep the bytes of the one expression."""
+
+    @pytest.mark.parametrize(
+        "shape,hop", [((1, 513), 256), ((2, 33), 16), ((40, 513), 256), ((9, 129), 100)]
+    )
+    def test_random_frame_stacks(self, shape, hop):
+        rng = np.random.default_rng(list(shape) + [hop])
+        frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _instantaneous_frequency(np.angle(frames), hop)
+        assert got.tobytes() == frozen_inst_freq(frames, hop).tobytes()
+
+    def test_steps_on_the_ceil_boundary(self):
+        frames, hop = boundary_frames()
+        phase, omega = np.angle(frames), phase_reference.bin_frequencies(frames.shape[1])
+        turns = (phase[1:] - phase[:-1] - hop * omega - np.pi) / (2.0 * np.pi)
+        assert np.any(turns[:, :9] == np.ceil(turns[:, :9]))  # the boundary is reached
+        got = _instantaneous_frequency(phase, hop)
+        assert got.tobytes() == frozen_inst_freq(frames, hop).tobytes()
+
+    @pytest.mark.parametrize("cfg", [StftConfig(), StftConfig(frame_len=256, hop=100)])
+    def test_analysis_of_buffers(self, cfg):
+        rng = np.random.default_rng(12)
+        for buf in (voiced_with_gap(), AudioBuffer(rng.standard_normal(6000), SR),
+                    make_tone(440.0, seconds=0.01)):
+            want = frozen_inst_freq(stft(buf, cfg).frames, cfg.hop)
+            assert analyse_pitch(buf, cfg).inst_freq.tobytes() == want.tobytes()
 
 
 class TestMemory:
@@ -418,15 +501,17 @@ class TestMemory:
         # The traced peak, output included, is 3.13-3.50 MB over these six
         # cells; a whole-cell bin-level plan would add about 4 MB. The bound
         # leaves about 11% of margin over the largest.
-        spec = PitchShiftSpec(ratio, variant)
-        shift_analysed(corpus_analysis, spec)  # fills istft's divisor cache
-        tracemalloc.start()
-        try:
-            shift_analysed(corpus_analysis, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.9e6
+        # The first call fills istft's divisor cache.
+        assert traced_peak(shift_analysed, corpus_analysis, PitchShiftSpec(ratio, variant)) <= 3.9e6
+
+    def test_one_pitch_analysis_stays_below_its_bound(self, corpus_buffer):
+        # 6.06 MB traced, 6.66 MB while the instantaneous frequency was one
+        # expression; the bound leaves about 9% of margin.
+        assert traced_peak(analyse_pitch, corpus_buffer) <= 6.6e6
+
+    def test_one_warp_analysis_stays_below_its_bound(self, corpus_buffer):
+        # 3.93 MB traced, 6.10 MB with np.unwrap; about 12% of margin.
+        assert traced_peak(analyse_warp, corpus_buffer) <= 4.4e6
 
 
 def set_entry(name, index, value):

@@ -127,6 +127,22 @@ class TestStftConfig:
         with pytest.raises(InvalidConfig):
             StftConfig(window="kaiser")
 
+    @pytest.mark.parametrize(
+        "window,formula",
+        [
+            ("hann", lambda t, n: 0.5 - 0.5 * np.cos(2.0 * np.pi * t / n)),
+            ("hamming", lambda t, n: 0.54 - 0.46 * np.cos(2.0 * np.pi * t / n)),
+            ("rect", lambda t, n: np.ones(n)),
+        ],
+    )
+    def test_window_is_built_once_and_shared_read_only(self, window, formula):
+        cfg = StftConfig(frame_len=256, hop=64, window=window)
+        w = cfg.window_samples()
+        assert w.tobytes() == formula(np.arange(256), 256).tobytes()
+        assert w is StftConfig(frame_len=256, hop=128, window=window).window_samples()
+        with pytest.raises(ValueError):
+            w[0] = 0.25
+
 
 class TestReadWav:
     def test_16bit_scaling(self, tmp_path):

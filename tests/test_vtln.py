@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voicemask.vtln as vtln
@@ -8,11 +8,14 @@ from voicemask import (
     AudioBuffer,
     DegreeSchedule,
     StftConfig,
+    WarpAnalysis,
     WarpSpec,
     analyse_warp,
     invert_warp,
     istft,
+    read_wav,
     stft,
+    synth_corpus,
     vtln_transform,
     warp_analysed,
     warp_value,
@@ -308,3 +311,82 @@ class TestResampleFrames:
                 want = straightforward_resample(analysis.magnitude, analysis.phase, pos)
                 assert got.dtype == np.complex128
                 assert got.tobytes() == want.tobytes(), spec
+
+
+# Steps a row may take: exact multiples of pi (so steps of exactly +pi and
+# -pi, and multiples of 2 pi, arise between neighbours) mixed with any finite
+# phase.
+PHASE_VALUES = st.one_of(
+    st.sampled_from([k * np.pi for k in range(-4, 5)]),
+    st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def phase_stacks(draw):
+    n_frames = draw(st.integers(1, 3))
+    n_bins = draw(st.sampled_from([1, 2, 3, 9, 513]))
+    values = draw(st.lists(PHASE_VALUES, min_size=n_frames * n_bins, max_size=n_frames * n_bins))
+    return np.array(values, dtype=np.float64).reshape(n_frames, n_bins)
+
+
+# One frame with steps of exactly +pi, -pi, +2 pi and -2 pi, and two of
+# about 3 pi and -4 pi.
+EXACT_STEPS = np.array(
+    [[0.0, np.pi, 0.0, -np.pi, np.pi, -np.pi, 0.0, 2 * np.pi, 0.0, 3 * np.pi, -np.pi]]
+)
+
+
+class TestUnwrapRows:
+    """vtln._unwrap_rows corrects only the steps that wrap; it must give np.unwrap's bytes."""
+
+    def test_exact_steps_occur(self):
+        steps = np.diff(EXACT_STEPS, axis=1)
+        for step in (np.pi, -np.pi, 2 * np.pi, -2 * np.pi):
+            assert np.any(steps == step)
+
+    @settings(max_examples=400, deadline=None)
+    @given(phase=phase_stacks())
+    @example(phase=EXACT_STEPS)
+    @example(phase=np.vstack([EXACT_STEPS, -EXACT_STEPS, EXACT_STEPS[:, ::-1]]))
+    @example(phase=np.array([[np.pi], [-np.pi]]))
+    @example(phase=np.array([[-np.pi, np.pi]]))
+    def test_bytes_equal_np_unwrap(self, phase):
+        want = np.unwrap(phase, axis=1)
+        got = vtln._unwrap_rows(phase.copy())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_corpus_analysis_phase_equals_np_unwrap(self, tmp_path):
+        manifest = synth_corpus(3, 2, 2, tmp_path)
+        for entry in manifest.entries[:2]:
+            buf = read_wav(entry.path)
+            want = np.unwrap(np.angle(stft(buf).frames), axis=1)
+            assert analyse_warp(buf).phase.tobytes() == want.tobytes()
+
+
+def real_frames(n_frames, n_bins=513):
+    return np.ones((n_frames, n_bins))
+
+
+class TestWarpAnalysisChecks:
+    """A WarpAnalysis must be one analysis of config.n_bins-bin frames."""
+
+    CASES = {
+        "phase with fewer bins": lambda: (real_frames(3), real_frames(3, 400)),
+        "both with 400 bins": lambda: (real_frames(3, 400), real_frames(3, 400)),
+        "one-dimensional": lambda: (np.ones(513), np.ones(513)),
+        "different frame counts": lambda: (real_frames(3), real_frames(2)),
+        "no frames": lambda: (real_frames(0), real_frames(0)),
+        "complex phase": lambda: (real_frames(3), real_frames(3).astype(complex)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused(self, case):
+        magnitude, phase = self.CASES[case]()
+        with pytest.raises(InvalidConfig):
+            WarpAnalysis(magnitude, phase, StftConfig(), SR, 1024)
+
+    def test_one_analysis_is_accepted(self):
+        analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, 1024)
+        assert len(warp_analysed(analysis, WarpSpec("quadratic", 0.5))) == 1024
