@@ -371,17 +371,20 @@ def load_sweep(path) -> SweepResult:
 
     SweepRow states which rows those are.
     """
-    rows = []
+    cells = {}  # (algorithm, gender, degree) -> its one row
     for line, row in _read_csv(path, _SWEEP_HEADER, EmptyInput("sweep file is empty")):
         if len(row) != 6:
             raise ParseError(f"expected 6 fields, got {len(row)}", line=line)
         try:
-            rows.append(
-                SweepRow(row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5]))
+            parsed = SweepRow(
+                row[0], row[1], int(row[2]), float(row[3]), float(row[4]), int(row[5])
             )
         except ValueError as exc:  # InvalidConfig is a ValueError too
             raise ParseError(str(exc), line=line) from None
-    return SweepResult(tuple(rows))
+        cell = (parsed.algorithm, parsed.gender, parsed.degree)
+        if cells.setdefault(cell, parsed) is not parsed:
+            raise ParseError(f"a second row for {','.join(map(str, cell))}", line=line)
+    return SweepResult(tuple(cells.values()))
 
 
 _CHART_SERIES = (

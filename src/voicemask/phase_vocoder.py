@@ -12,9 +12,9 @@ alone, not on the ratio, so ``analyse_pitch`` computes them once per buffer
 and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
 ``analyse_pitch`` finds the peaks and regions of all frames in one pass over
 the frame stack; ``detect_peaks`` and ``regions_of_influence`` are its
-one-frame case. A ``PhasePropagator`` is built from the analysis it
-propagates and plans all its frames at once; each ``advance()`` then
-returns the next synthesis frame, rendered with its block of frames.
+one-frame case. ``_plan`` plans all frames of a shift at once; a
+``PhasePropagator`` renders that plan and returns one synthesis frame per
+``advance()``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "analyse_pitch",
     "shift_analysed",
     "pitch_shift",
-    "princarg",
 ]
 
 VARIANTS = ("identity-locked", "loose")
@@ -64,11 +63,6 @@ class PitchShiftSpec:
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "ratio", float(self.ratio))
-
-
-def princarg(phase):
-    """Wrap phase to the principal range (-pi, pi]."""
-    return phase - 2.0 * np.pi * np.ceil((phase - np.pi) / (2.0 * np.pi))
 
 
 def _peak_mask(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
@@ -200,100 +194,80 @@ _FAR = 1 << 60
 _BLOCK_FRAMES = 32
 
 
-class PhasePropagator:
-    """Phase state of one analysed buffer; call advance() once per frame.
+def _match(peak_frame: np.ndarray, dests: np.ndarray, size: int) -> np.ndarray:
+    """Row of each peak's nearest kept track in the previous frame, -1 if none.
 
-    The constructor plans every frame of the analysis at once: each peak's
-    region shift and destination and, for identity locking, its track's
-    accumulated rotation angle. Tracks are keyed by destination peak bin and
-    matched frame-to-frame by nearest destination-bin distance within a
-    4-bin tolerance (ties to the lower bin); unmatched new peaks start from
-    the analysis phase of their frame. ``advance`` hands out the frames of
-    ``_render_blocks``, which renders them ``_BLOCK_FRAMES`` at a time.
+    ``peak_frame`` and ``dests`` give each peak's frame and destination
+    bin in [0, size), ascending within a frame. Of equal destinations in
+    a frame only the last peak's track is kept. Frame t's destinations
+    are keyed t * stride + dest, so the keys ascend (see README) and
+    keys of two frames lie further apart than the tolerance: one merge
+    serves all frames.
+    """
+    stride = size + _TRACK_MATCH_TOLERANCE + 1
+    keys = peak_frame * stride
+    keys += dests
+    kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
+    # The tracks as keys of the next frame, bounded by the sentinels.
+    known = np.empty(kept.size + 2, dtype=np.intp)
+    known[0], known[-1] = -_FAR, _FAR
+    np.add(keys[kept], stride, out=known[1:-1])
+    # Track i is nearest (ties to the lower bin) to every q with
+    # half[i-1] < q <= half[i], where half[i] = floor((track i + track i+1) / 2).
+    half = known[:-1] + known[1:]
+    half >>= 1
+    nearest = _ranks(keys, half)
+    del half
+    far = known.take(nearest)
+    far -= keys
+    far = np.abs(far, out=far) > _TRACK_MATCH_TOLERANCE
+    del keys, known
+    sources = np.take(np.concatenate(([0], kept, [0])), nearest, out=nearest)
+    sources[far] = -1
+    return sources
+
+
+def _plan(spec: PitchShiftSpec, analysis: PitchAnalysis):
+    """Everything of a shift that does not depend on the running phases.
+
+    Returns (angles, shifts, offset, size): one entry per peak of the
+    analysis, frame after frame, of its track's accumulated rotation angle
+    (identity locking; None for the loose variant, which renders without
+    them) and of its region's shift, and the work frame of ``_translation``.
+    Tracks are keyed by destination peak bin and matched frame-to-frame by
+    ``_match``; a peak's angle is its source's plus the rotation over the
+    hop. That recurrence is the only dependency between frames, so it runs
+    first, one gather and add per frame. A new track (source -1) reads the
+    trailing 0.0 and adds 0.0, so it starts from the analysis phase.
+    """
+    shift_of, offset, size = _translation(spec.ratio, analysis.config.n_bins)
+    peaks = analysis.regions[:, 0]
+    shifts = shift_of[peaks]
+    if spec.variant == "loose":
+        return None, shifts, offset, size
+    sources = _match(analysis.peak_frame, peaks + shifts, size)
+    increments = analysis.config.hop * (spec.ratio - 1.0) * analysis.peak_freq
+    increments[sources < 0] = 0.0
+    angles = np.zeros(sources.size + 1)
+    bounds = analysis.offsets.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            np.add(angles.take(sources[lo:hi]), increments[lo:hi], out=angles[lo:hi])
+    return angles, shifts, offset, size
+
+
+class PhasePropagator:
+    """The synthesis frames of one shift; call advance() once per frame.
+
+    ``_plan`` plans the shift and ``_render_blocks`` renders it
+    ``_BLOCK_FRAMES`` frames at a time; ``advance`` hands out its frames.
     """
 
     def __init__(self, spec: PitchShiftSpec, analysis: PitchAnalysis):
-        self.spec, self.analysis = spec, analysis
-        self._locked = spec.variant == "identity-locked"
-        shift_of, offset, size = _translation(spec.ratio, analysis.config.n_bins)
-        self._bounds = analysis.offsets.tolist()
-        # The plan: one entry per peak, frame after frame.
-        peaks = analysis.regions[:, 0]
-        shifts = shift_of[peaks]
-        self._peak_dests = peaks + shifts
-        if self._locked:
-            self._angles = self._accumulate_angles(size)
-        else:  # the loose variant keeps only frame 0's tracks, at angle 0
-            self._angles = np.zeros(self._bounds[1])
-        self._t = 0  # the next frame to hand out
+        self._n_frames = len(analysis.frames)
         # The generator holds no reference to self: a cycle would keep the
         # plan and the last block alive after the propagator is dropped.
-        self._frames = _render_blocks(spec, analysis, self._angles, shifts, offset, size)
-
-    @property
-    def track_angles(self) -> dict[int, float]:
-        """Accumulated rotation angle per live track, keyed by destination bin.
-
-        The live tracks are the last frame's peaks; the loose variant keeps
-        only frame 0's.
-        """
-        t = self._t - 1
-        if t < 0 or (t > 0 and not self._locked):
-            return {}
-        lo, hi = self._bounds[t], self._bounds[t + 1]
-        # Of equal destinations the last peak's track lives, as in a dict.
-        return {int(d): float(a) for d, a in zip(self._peak_dests[lo:hi], self._angles[lo:hi])}
-
-    def _accumulate_angles(self, size: int) -> np.ndarray:
-        """Each peak's track angle: its source's angle plus the rotation over the hop.
-
-        The recurrence is the only dependency between frames, so it runs
-        first, one gather and add per frame. A new track (source -1) reads
-        the trailing 0.0 and adds 0.0, so it starts from the analysis phase.
-        """
-        sources = self._match(self.analysis.peak_frame, self._peak_dests, size)
-        step = self.analysis.config.hop * (self.spec.ratio - 1.0)
-        increments = step * self.analysis.peak_freq
-        increments[sources < 0] = 0.0
-        angles = np.zeros(sources.size + 1)
-        bounds = self._bounds
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                np.add(angles.take(sources[lo:hi]), increments[lo:hi], out=angles[lo:hi])
-        return angles
-
-    @staticmethod
-    def _match(peak_frame: np.ndarray, dests: np.ndarray, size: int) -> np.ndarray:
-        """Row of each peak's nearest kept track in the previous frame, -1 if none.
-
-        ``peak_frame`` and ``dests`` give each peak's frame and destination
-        bin in [0, size), ascending within a frame. Of equal destinations in
-        a frame only the last peak's track is kept. Frame t's destinations
-        are keyed t * stride + dest, so the keys ascend (see README) and
-        keys of two frames lie further apart than the tolerance: one merge
-        serves all frames.
-        """
-        stride = size + _TRACK_MATCH_TOLERANCE + 1
-        keys = peak_frame * stride
-        keys += dests
-        kept = np.flatnonzero(np.append(keys[:-1] != keys[1:], keys.size > 0))
-        # The tracks as keys of the next frame, bounded by the sentinels.
-        known = np.empty(kept.size + 2, dtype=np.intp)
-        known[0], known[-1] = -_FAR, _FAR
-        np.add(keys[kept], stride, out=known[1:-1])
-        # Track i is nearest (ties to the lower bin) to every q with
-        # half[i-1] < q <= half[i], where half[i] = floor((track i + track i+1) / 2).
-        half = known[:-1] + known[1:]
-        half >>= 1
-        nearest = _ranks(keys, half)
-        del half
-        far = known.take(nearest)
-        far -= keys
-        far = np.abs(far, out=far) > _TRACK_MATCH_TOLERANCE
-        del keys, known
-        sources = np.take(np.concatenate(([0], kept, [0])), nearest, out=nearest)
-        sources[far] = -1
-        return sources
+        self._frames = _render_blocks(spec, analysis, *_plan(spec, analysis))
 
     def advance(self) -> np.ndarray:
         """Produce the synthesis frame of the next analysis frame.
@@ -302,11 +276,10 @@ class PhasePropagator:
         hop * ratio * omega. The frame is a row of the rendered block, not a
         copy; the propagator never reads it again.
         """
-        t = self._t
-        if t == len(self.analysis.frames):
-            raise InvalidConfig(f"all {t} frames already rendered")
-        self._t = t + 1
-        return next(self._frames)
+        frame = next(self._frames, None)
+        if frame is None:
+            raise InvalidConfig(f"all {self._n_frames} frames already rendered")
+        return frame
 
 
 def _render_blocks(spec, analysis, angles, shifts, offset, size):

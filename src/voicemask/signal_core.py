@@ -405,7 +405,8 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     is reliable on the interior, away from frame_len samples at each edge.
     Frames are inverse-transformed and windowed _BLOCK_FRAMES at a time, and
     each block is overlap-added before the next is transformed. Without
-    frames the output is zero.
+    frames the output is zero. An ``n_samples`` that is neither None nor an
+    integer of at least 0 is InvalidConfig.
     """
     cfg = spec.config
     w = cfg.window_samples()
@@ -413,6 +414,8 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     out_len = (n_frames - 1) * hop + cfg.frame_len
     if n_samples is None:
         n_samples = out_len
+    elif not (isinstance(n_samples, (int, np.integer)) and n_samples >= 0):
+        raise InvalidConfig(f"n_samples must be None or an integer >= 0, got {n_samples!r}")
     # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
     # Frame blocks run in order and k runs downwards within each, so every
     # sample adds its frames in ascending order.

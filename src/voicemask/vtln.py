@@ -164,9 +164,7 @@ def _resample_frames(mag: np.ndarray, phase: np.ndarray, pos: np.ndarray) -> np.
     Computed in place; the bytes equal ``mag * np.exp(1j * phase)`` of the
     interpolated parts, which ``test_vtln.py`` checks. Every step is
     elementwise per frame, so each half of the frames is interpolated and
-    evaluated on its own core (``signal_core._split_rows``). A half owns
-    whole rows, so the two share at most the cache line at their boundary
-    (halves of ``cos`` against ``sin`` would share every line of ``out``).
+    evaluated on its own core (``signal_core._split_rows``).
     """
     idx = np.clip(pos.astype(np.intp), 0, mag.shape[-1] - 2)
     idx_up = idx + 1
@@ -188,10 +186,9 @@ def _resample_frames(mag: np.ndarray, phase: np.ndarray, pos: np.ndarray) -> np.
         return low
 
     def resample(rows):
-        out_phase = lerp(phase, rows)
-        np.cos(out_phase, out=out.real[rows])
-        np.sin(out_phase, out=out.imag[rows])
-        out[rows] *= lerp(mag, rows)
+        rotation = np.multiply(1j, lerp(phase, rows), out=out[rows])
+        np.exp(rotation, out=rotation)
+        rotation *= lerp(mag, rows)
 
     _split_rows(resample, len(out))
     return out

@@ -1,8 +1,14 @@
-"""Suite-wide checks for the tests in this directory."""
+"""Suite-wide settings and checks for the tests in this directory."""
 
+import os
 import threading
 
 import pytest
+
+# One BLAS thread for every subset of the suite, as the CLI and perfbench's
+# conftest.py set it, before any test module imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 
 @pytest.fixture(autouse=True)

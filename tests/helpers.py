@@ -3,6 +3,7 @@
 import numpy as np
 
 from voicemask import AudioBuffer, PitchAnalysis, StftConfig, stft
+from voicemask.phase_vocoder import _plan
 
 SR = 16000
 
@@ -39,6 +40,25 @@ def frame_partitions(analysis):
     """Frame t's rows regions[offsets[t]:offsets[t + 1]] of an analysis, or None if peak-free."""
     bounds = analysis.offsets.tolist()
     return [analysis.regions[a:b] if b > a else None for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def planned_tracks(analysis, spec):
+    """Each frame's planned track angles by destination bin.
+
+    Of equal destinations in a frame the last peak's angle is kept, as a
+    dict built in peak order keeps it. The loose variant plans no angles,
+    so each of its frames gets None.
+    """
+    angles, shifts, _, _ = _plan(spec, analysis)
+    assert (angles is None) == (spec.variant == "loose")
+    if angles is None:
+        return [None] * len(analysis.frames)
+    dests = analysis.regions[:, 0] + shifts
+    bounds = analysis.offsets.tolist()
+    return [
+        {int(d): float(a) for d, a in zip(dests[lo:hi], angles[lo:hi])}
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def interior_snr_db(reference, produced, margin=1024):

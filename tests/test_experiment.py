@@ -303,6 +303,16 @@ class TestReport:
         loaded = load_sweep(tmp_path / "sweep.csv")
         assert loaded == result
 
+    def test_a_repeated_cell_is_parse_error(self, tmp_path):
+        # Two rows of one (algorithm, gender, degree) once loaded, and curve
+        # pooled them as if they were one cell.
+        rows = ["algorithm,gender,degree,gender_success_rate,identification_rate,n_files",
+                "voc,M,0,1.0,1.0,3", "voc,M,0,0.0,0.0,3"]
+        (tmp_path / "sweep.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="voc,M,0") as err:
+            load_sweep(tmp_path / "sweep.csv")
+        assert err.value.line == 3
+
     def test_re_emission_byte_identical(self, tmp_path):
         result = tiny_result()
         emit_report(result, tmp_path / "a")

@@ -1,12 +1,12 @@
 """Property tests for the pitch and warp transforms.
 
-``PhasePropagator.advance``, frame by frame over a given analysis, and
-``shift_analysed`` must reproduce byte for byte the frames and track angles
-of the straightforward propagator frozen in ``phase_reference.py``, which
-takes one frame at a time and can measure the instantaneous frequency
-itself; and every transform maps a finite buffer to a finite buffer of the
-same length and sample rate, or raises NonFiniteSignal for samples too large
-to transform.
+``PhasePropagator.advance``, frame by frame over a given analysis, the
+track angles ``_plan`` plans for each frame, and ``shift_analysed`` must
+reproduce byte for byte the frames and track angles of the straightforward
+propagator frozen in ``phase_reference.py``, which takes one frame at a
+time and can measure the instantaneous frequency itself; and every
+transform maps a finite buffer to a finite buffer of the same length and
+sample rate, or raises NonFiniteSignal for samples too large to transform.
 """
 
 import gc
@@ -32,11 +32,11 @@ from voicemask import (
     shift_analysed,
 )
 from voicemask.errors import NonFiniteSignal
-from voicemask.phase_vocoder import _BLOCK_FRAMES, _ranks, _translation
+from voicemask.phase_vocoder import _BLOCK_FRAMES, _match, _ranks, _translation
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import phase_reference
-from helpers import SR, frame_partitions, make_vowel, pitch_analysis
+from helpers import SR, frame_partitions, make_vowel, pitch_analysis, planned_tracks
 
 # 33 bins make shifts off both ends and colliding regions common; 513 is the
 # toolkit's default frame.
@@ -62,9 +62,15 @@ def frame_sequences(draw):
     return cfg, span, frames, partitions, inst_freqs
 
 
-def angle_bytes(prop):
-    tracks = prop.track_angles
+def angle_bytes(tracks):
     return list(tracks), np.array(list(tracks.values())).tobytes()
+
+
+def assert_frame_matches(got, want, planned, reference):
+    """One advance() frame and its planned track angles (identity locking) equal the reference's."""
+    assert got.tobytes() == want.tobytes()
+    if planned is not None:
+        assert angle_bytes(planned) == angle_bytes(reference.track_angles)
 
 
 class TestPropagatorOracle:
@@ -86,13 +92,13 @@ class TestPropagatorOracle:
                 for t in range(1, len(frames))
             ]
         spec = PitchShiftSpec(ratio, variant)
-        prop = PhasePropagator(spec, pitch_analysis(frames, partitions, inst_freqs, cfg))
+        analysis = pitch_analysis(frames, partitions, inst_freqs, cfg)
+        prop = PhasePropagator(spec, analysis)
+        tracks = planned_tracks(analysis, spec)
         reference = phase_reference.ReferencePropagator(spec, cfg)
-        for frame, partition, inst_freq in zip(frames, partitions, inst_freqs):
-            got = prop.advance()
+        for t, (frame, partition, inst_freq) in enumerate(zip(frames, partitions, inst_freqs)):
             want = reference.advance(frame, partition, inst_freq if give_inst_freq else None)
-            assert got.tobytes() == want.tobytes()
-            assert angle_bytes(prop) == angle_bytes(reference)
+            assert_frame_matches(prop.advance(), want, tracks[t], reference)
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     @pytest.mark.parametrize("cell", ["3 frames", "across a block boundary"])
@@ -180,17 +186,16 @@ class TestPlannedPathOracle:
 
 
 def assert_matches_reference(analysis, spec):
-    """Every advance() frame, its track angles and shift_analysed equal the reference's bytes."""
+    """Every advance() frame, its planned angles and shift_analysed equal the reference's bytes."""
     prop = PhasePropagator(spec, analysis)
+    tracks = planned_tracks(analysis, spec)
     reference = phase_reference.ReferencePropagator(spec, analysis.config)
     frames = []
-    for frame, partition, inst_freq in zip(
+    for t, (frame, partition, inst_freq) in enumerate(zip(
         analysis.frames, frame_partitions(analysis), analysis.inst_freq
-    ):
-        got = prop.advance()
+    )):
         frames.append(reference.advance(frame, partition, inst_freq))
-        assert got.tobytes() == frames[-1].tobytes()
-        assert angle_bytes(prop) == angle_bytes(reference)
+        assert_frame_matches(prop.advance(), frames[-1], tracks[t], reference)
     spectrogram = Spectrogram(np.array(frames), analysis.config, analysis.sample_rate)
     want = istft(spectrogram, analysis.n_samples)
     assert shift_analysed(analysis, spec).samples.tobytes() == want.samples.tobytes()
@@ -346,7 +351,7 @@ class TestTrackMatch:
     @given(case=ascending_keys())
     def test_matches_brute_force(self, case):
         peak_frame, dests, size = case
-        sources = PhasePropagator._match(peak_frame, dests, size)
+        sources = _match(peak_frame, dests, size)
         assert sources.dtype == np.intp
         assert sources.tolist() == brute_force_sources(peak_frame, dests)
 
@@ -375,5 +380,5 @@ class TestTrackMatch:
         shifts, _, size = _translation(ratio, cfg.n_bins)
         dests = analysis.regions[:, 0] + shifts[analysis.regions[:, 0]]
         assert brute_force_sources(analysis.peak_frame, dests) == want
-        assert PhasePropagator._match(analysis.peak_frame, dests, size).tolist() == want
+        assert _match(analysis.peak_frame, dests, size).tolist() == want
         assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))

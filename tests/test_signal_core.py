@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 import warnings
@@ -9,17 +10,23 @@ from hypothesis import strategies as st
 
 from voicemask import (
     AudioBuffer,
+    PitchShiftSpec,
     SpeakerModel,
     Spectrogram,
     StftConfig,
     SweepResult,
     SweepRow,
+    WarpSpec,
+    analyse_pitch,
+    analyse_warp,
     emit_report,
     istft,
     read_wav,
     save_models,
+    shift_analysed,
     stft,
     synth_corpus,
+    warp_analysed,
     write_wav,
 )
 from voicemask.errors import (
@@ -516,8 +523,8 @@ class TestIstft:
         spec = Spectrogram(scrambled, cfg, SR)
         want = frame_by_frame(spec)
         assert istft(spec).samples.tobytes() == want.tobytes()
-        # Trimmed, at, and zero-padded past the natural length.
-        for n_samples in (want.size // 2, want.size - 1, want.size, want.size + hop + 1):
+        # Trimmed (a numpy integer too), at, and zero-padded past the natural length.
+        for n_samples in (want.size // 2, np.int64(want.size - 1), want.size, want.size + hop + 1):
             padded = np.concatenate([want, np.zeros(hop + 1)])[:n_samples]
             assert istft(spec, n_samples).samples.tobytes() == padded.tobytes()
 
@@ -547,6 +554,26 @@ class TestIstft:
             if n_samples is not None:
                 want = np.concatenate([want, np.zeros(n_samples)])[:n_samples]
             assert istft(spec, n_samples).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_samples", [-5, -1, 2.5, 4096.0, "4096"])
+    def test_a_length_that_is_not_a_count_is_invalid_config(self, n_samples):
+        # A negative length once counted back from the end, and a float
+        # failed as a bare TypeError.
+        spec = stft(make_tone(440.0, seconds=4096 / SR))
+        with pytest.raises(InvalidConfig, match="n_samples"):
+            istft(spec, n_samples)
+
+    @pytest.mark.parametrize("transform", ["pitch", "warp"])
+    def test_an_analysis_with_a_negative_length_is_invalid_config(self, transform):
+        buf = make_tone(440.0, seconds=4096 / SR)
+        if transform == "pitch":
+            analysis = dataclasses.replace(analyse_pitch(buf), n_samples=-10)
+            with pytest.raises(InvalidConfig, match="n_samples"):
+                shift_analysed(analysis, PitchShiftSpec(1.2))
+        else:
+            analysis = dataclasses.replace(analyse_warp(buf), n_samples=-10)
+            with pytest.raises(InvalidConfig, match="n_samples"):
+                warp_analysed(analysis, WarpSpec("quadratic", 0.1))
 
     def test_cached_divisor_is_read_only_and_bounded(self):
         size = _overlap_plan.cache_info().maxsize
