@@ -30,7 +30,7 @@ _EXPORTS = {
         "AudioBuffer", "Spectrogram", "StftConfig", "istft", "read_wav", "stft", "write_wav",
     ),
     "speaker_id": (
-        "FeatureConfig", "SpeakerModel", "classify_gender", "covariance_model", "extract_cepstra",
+        "SpeakerModel", "classify_gender", "covariance_model", "extract_cepstra",
         "identify_speaker", "load_models", "save_models", "sphericity_distance",
         "train_gender_models",
     ),

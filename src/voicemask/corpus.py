@@ -69,19 +69,21 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """Ordered corpus entries; every speaker has train and test material."""
+    """Ordered corpus entries; every speaker has one gender, and train and test material."""
 
     entries: tuple[ManifestEntry, ...]
 
     def __post_init__(self):
         entries = tuple(self.entries)
         seen = set()
+        genders: dict[str, str] = {}
+        partitions: dict[str, set[str]] = {}
         for e in entries:
             if e.path in seen:
                 raise InvariantViolation(f"duplicate path {e.path}")
             seen.add(e.path)
-        partitions: dict[str, set[str]] = {}
-        for e in entries:
+            if genders.setdefault(e.speaker_id, e.gender) != e.gender:
+                raise InvariantViolation(f"speaker {e.speaker_id} is listed under two genders")
             partitions.setdefault(e.speaker_id, set()).add(e.partition)
         for speaker, parts in partitions.items():
             if "train" not in parts:
@@ -294,7 +296,7 @@ def _draw_utterance(
         f0_noise=_smooth_noise(rng, total, 18.0, fs),
         harmonic_phases=rng.uniform(0.0, 2.0 * np.pi, n_harm),
         flutter_coarse=rng.standard_normal((n_harm, _FLUTTER_POINTS)),
-        slope_noise=_smooth_noise(rng, total, _TILT_RATE_HZ, fs) if tilt_wobble > 0.0 else None,
+        slope_noise=_smooth_noise(rng, total, _TILT_RATE_HZ, fs),
         am_noise=_smooth_noise(rng, total, 8.0, fs),
         noise=_highband_noise(rng, total, _NOISE_CORNER_HZ[gender], fs),
         noise_am=_smooth_noise(rng, total, 6.0, fs),
@@ -326,9 +328,8 @@ def _render_utterance(
     left, frac, rest, ctrl_start = grid  # slow independent gain flutter per harmonic
 
     # slow spectral-tilt wobble: smooth, band-correlated level variation
-    if slope_noise is not None:
-        slope = tilt_wobble * slope_noise
-        log_freq = np.log(k * f0 / 1000.0)
+    slope = tilt_wobble * slope_noise
+    log_freq = np.log(k * f0 / 1000.0)
 
     # Each segment's flutter tracks, tilt factor and harmonic grid are built
     # in place, in buffers of that segment's size, one flutter control
@@ -352,9 +353,8 @@ def _render_utterance(
         tracks += chunk
         tracks *= flutter
         tracks += 1.0
-        if slope_noise is not None:
-            np.multiply(log_freq[:, None], slope[lo:hi], out=chunk)
-            tracks *= np.exp(chunk, out=chunk)
+        np.multiply(log_freq[:, None], slope[lo:hi], out=chunk)
+        tracks *= np.exp(chunk, out=chunk)
         np.multiply(k[:, None], phase[lo:hi], out=chunk)
         chunk += harmonic_phases[:, None]
         np.cos(chunk, out=chunk)

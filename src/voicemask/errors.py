@@ -87,7 +87,7 @@ class InvariantViolation(VoicemaskError):
 
 
 class NoCrossover(VoicemaskError):
-    """A success curve never falls below the requested level."""
+    """A success curve never falls below 0.5."""
 
 
 class EmptyInput(VoicemaskError):

@@ -42,7 +42,7 @@ from .errors import (
 from .signal_core import read_wav
 from .speaker_id import (
     SpeakerModel,
-    _feature_framing,
+    _check_probe,
     classify_gender,
     covariance_model,
     extract_cepstra,
@@ -116,9 +116,17 @@ def _within(value, kind, lo, hi) -> bool:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One row per (algorithm, gender, degree), sorted."""
+    """Sweep rows, at most one per (algorithm, gender, degree); a repeated cell is InvalidConfig."""
 
     rows: tuple[SweepRow, ...]
+
+    def __post_init__(self):
+        cells = set()
+        for row in self.rows:
+            cell = (row.algorithm, row.gender, row.degree)
+            if cell in cells:
+                raise InvalidConfig(f"a second row for {','.join(map(str, cell))}")
+            cells.add(cell)
 
     def curve(self, algorithm: str, metric: str = "identification", gender: str | None = None):
         """Rate-vs-degree curve, pooled over genders (n-weighted) unless one is given."""
@@ -185,7 +193,7 @@ def _sweep_file(entry: ManifestEntry, schedules, degrees, models):
     analysers = {schedule.family: schedule.analyse for schedule in schedules}
     try:
         buf = read_wav(entry.path)
-        _feature_framing(buf)  # transforms keep the rate and length
+        _check_probe(buf)  # transforms keep the rate and length
         analyses = {family: analyse(buf) for family, analyse in analysers.items()}
     except VoicemaskError as exc:
         return {}, [f"skipping {entry.path}: {exc}"]
@@ -235,12 +243,13 @@ def run_degree_sweep(
     test file is read and analysed once per transform family, then modified
     at every (algorithm, degree) cell (see _sweep_file); the files' skips are
     logged in manifest order and their hits summed by cell. A file that
-    cannot be read, featurised or analysed, or whose speaker is not
-    enrolled, is left out of every cell; a per-cell transform or modeling
-    failure is excluded from that cell's n_files. The aggregation is
-    order-independent. Algorithms that _sweep_algorithms refuses, no degree,
-    a repeated degree, one that is not an integer or one outside
-    0..MAX_DEGREE raise InvalidConfig before any audio is read.
+    cannot be read or analysed, that has too few feature frames for a probe
+    model, or whose speaker is not enrolled, is left out of every cell; a
+    per-cell transform or modeling failure is excluded from that cell's
+    n_files. The aggregation is order-independent. Algorithms that
+    _sweep_algorithms refuses, no degree, a repeated degree, one that is not
+    an integer or one outside 0..MAX_DEGREE raise InvalidConfig before any
+    audio is read.
     """
     schedules = [DegreeSchedule(algo) for algo in _sweep_algorithms(algorithms)]
     try:
@@ -267,11 +276,11 @@ def run_degree_sweep(
     return SweepResult(tuple(rows))
 
 
-def find_crossover(curve, level: float = 0.5) -> float:
-    """First linearly-interpolated degree where the rate crosses the level.
+def find_crossover(curve) -> float:
+    """First linearly-interpolated degree where the rate falls below 0.5, the 50% point.
 
-    A curve that starts below the level returns its first degree; one that
-    never falls below it raises NoCrossover.
+    A curve that starts below 0.5 returns its first degree; one that never
+    falls below it raises NoCrossover.
     """
     points = [(float(d), float(r)) for d, r in curve]
     if not points:
@@ -279,12 +288,12 @@ def find_crossover(curve, level: float = 0.5) -> float:
     degrees = [d for d, _ in points]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise InvalidConfig("degrees must be strictly increasing")
-    if points[0][1] < level:
+    if points[0][1] < 0.5:
         return points[0][0]
     for (d0, r0), (d1, r1) in zip(points, points[1:]):
-        if r1 < level:
-            return d0 + (d1 - d0) * (r0 - level) / (r0 - r1)
-    raise NoCrossover(f"rate never falls below {level}")
+        if r1 < 0.5:
+            return d0 + (d1 - d0) * (r0 - 0.5) / (r0 - r1)
+    raise NoCrossover("rate never falls below 0.5")
 
 
 # --- MOS -----------------------------------------------------------------------

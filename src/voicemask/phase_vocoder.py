@@ -28,6 +28,7 @@ from .signal_core import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
+    _check_length,
     bin_frequencies,
     istft,
     stft,
@@ -382,9 +383,9 @@ class PitchAnalysis:
     these: ``peak_frame``, the frame of each region, ``peak_freq``, the
     instantaneous frequency at each region's peak, and ``bin_region``, the
     row of ``regions`` that owns each bin, voiced frame after voiced frame.
-    All arrays are read-only. Arrays that are not one such analysis, or
-    regions that do not tile each voiced frame around their peaks, are
-    InvalidConfig.
+    All arrays are read-only. Arrays that are not one such analysis,
+    regions that do not tile each voiced frame around their peaks, or an
+    ``n_samples`` that _check_length refuses, are InvalidConfig.
     """
 
     frames: np.ndarray
@@ -408,6 +409,7 @@ class PitchAnalysis:
             and np.all(offsets[:-1] <= offsets[1:])
         ):
             raise InvalidConfig(f"arrays must describe one analysis of {n}-bin frames")
+        _check_length(self.n_samples)
         peak, lo, hi = regions.T
         counts = np.diff(offsets)
         starts, ends = offsets[:-1][counts > 0], offsets[1:][counts > 0] - 1

@@ -30,7 +30,6 @@ __all__ = [
     "StftConfig",
     "Spectrogram",
     "bin_frequencies",
-    "cola_deviation",
     "read_text",
     "read_wav",
     "write_wav",
@@ -68,51 +67,41 @@ class AudioBuffer:
 
 
 @functools.lru_cache(maxsize=8)
-def _window_samples(kind: str, n: int) -> np.ndarray:
-    """The periodic ``kind`` window of n samples, built once and read-only.
+def _window_samples(n: int) -> np.ndarray:
+    """The periodic Hann window of n samples, built once and read-only.
 
     Periodic windows: the COLA property holds for hop = n / 2^k.
     """
-    t = np.arange(n)
-    if kind == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * t / n)
-    elif kind == "hamming":
-        w = 0.54 - 0.46 * np.cos(2.0 * np.pi * t / n)
-    elif kind == "rect":
-        w = np.ones(n)
-    else:
-        raise InvalidConfig(f"unknown window kind {kind!r}")
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     w.setflags(write=False)
     return w
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Frame length (power of two), hop, and analysis window kind."""
+    """Frame length (power of two) and hop; the analysis window is Hann."""
 
     frame_len: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
         if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
             raise InvalidConfig(f"frame_len must be a power of two, got {self.frame_len}")
         if not 0 < self.hop <= self.frame_len:
             raise InvalidConfig(f"hop must satisfy 0 < hop <= frame_len, got {self.hop}")
-        _window_samples(self.window, self.frame_len)
 
     @property
     def n_bins(self) -> int:
         return self.frame_len // 2 + 1
 
     def window_samples(self) -> np.ndarray:
-        """The analysis window: one shared read-only array per (kind, frame_len)."""
-        return _window_samples(self.window, self.frame_len)
+        """The analysis window: one shared read-only array per frame_len."""
+        return _window_samples(self.frame_len)
 
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Time-ordered spectral frames: complex array of shape (n_frames, n_bins)."""
+    """Time-ordered spectral frames: complex array of shape (n_frames, n_bins), n_frames >= 1."""
 
     frames: np.ndarray
     config: StftConfig
@@ -120,8 +109,8 @@ class Spectrogram:
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
-        if frames.ndim != 2:
-            raise InvalidConfig("frames must be a 2-D array")
+        if frames.ndim != 2 or not frames.shape[0]:
+            raise InvalidConfig("frames must be a 2-D array of one or more frames")
         if frames.shape[1] != self.config.n_bins:
             raise InvalidConfig(
                 f"frames have {frames.shape[1]} bins, config implies {self.config.n_bins}"
@@ -137,29 +126,16 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.frames.shape[1]
 
-    def __len__(self):
-        return self.n_frames
 
-    def __getitem__(self, t) -> np.ndarray:
-        return self.frames[t]
+def _check_length(n_samples) -> None:
+    """InvalidConfig unless n_samples, an output length, is an integer >= 0 (a bool is not)."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+        raise InvalidConfig(f"n_samples must be an integer >= 0, got {n_samples!r}")
 
 
 def bin_frequencies(n_bins: int) -> np.ndarray:
     """Normalized angular frequency of every bin: pi * k / (n_bins - 1)."""
     return np.pi * np.arange(n_bins) / (n_bins - 1)
-
-
-def cola_deviation(cfg: StftConfig) -> float:
-    """Max relative deviation of the overlapped window sum in steady state."""
-    w = cfg.window_samples()
-    n_shifts = 4 * (cfg.frame_len // cfg.hop) + 4
-    total = np.zeros((n_shifts - 1) * cfg.hop + cfg.frame_len)
-    for t in range(n_shifts):
-        start = t * cfg.hop
-        total[start : start + cfg.frame_len] += w
-    steady = total[cfg.frame_len : -cfg.frame_len]
-    mean = steady.mean()
-    return float(np.max(np.abs(steady - mean)) / mean)
 
 
 # --- two-core row split ----------------------------------------------------
@@ -374,15 +350,13 @@ def _overlap_plan(cfg: StftConfig, n_frames: int):
 
     A piece is (k, the frame columns of hop-wide block k, their width), k
     downwards. The divisor is the window sum floored at 1% of its peak,
-    read-only, or None without frames. Every cell of one file has its frame
-    count, so a sweep builds this once per file; the last two are kept.
+    read-only. Every cell of one file has its frame count, so a sweep
+    builds this once per file; the last two are kept.
     """
     pieces = []
     for k in reversed(range(-(-cfg.frame_len // cfg.hop))):
         cols = slice(k * cfg.hop, min((k + 1) * cfg.hop, cfg.frame_len))
         pieces.append((k, cols, cols.stop - cols.start))
-    if not n_frames:
-        return tuple(pieces), None
     norm = np.zeros((n_frames + len(pieces) - 1, cfg.hop))
     w = cfg.window_samples()
     w_sq = w * w
@@ -404,9 +378,8 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     ``n_samples``, when given, trims it or pads it with zeros. Reconstruction
     is reliable on the interior, away from frame_len samples at each edge.
     Frames are inverse-transformed and windowed _BLOCK_FRAMES at a time, and
-    each block is overlap-added before the next is transformed. Without
-    frames the output is zero. An ``n_samples`` that is neither None nor an
-    integer of at least 0 is InvalidConfig.
+    each block is overlap-added before the next is transformed. An
+    ``n_samples`` other than None that _check_length refuses is InvalidConfig.
     """
     cfg = spec.config
     w = cfg.window_samples()
@@ -414,8 +387,7 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
     out_len = (n_frames - 1) * hop + cfg.frame_len
     if n_samples is None:
         n_samples = out_len
-    elif not (isinstance(n_samples, (int, np.integer)) and n_samples >= 0):
-        raise InvalidConfig(f"n_samples must be None or an integer >= 0, got {n_samples!r}")
+    _check_length(n_samples)
     # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
     # Frame blocks run in order and k runs downwards within each, so every
     # sample adds its frames in ascending order.
@@ -430,7 +402,6 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
         frames *= w  # in place: no second stack at the memory peak
         for k, cols, width in pieces:
             acc[start + k : start + k + len(frames), :width] += frames[:, cols]
-    if divisor is not None:
-        kept = min(out_len, n_samples)
-        flat[:kept] /= divisor[:kept]
+    kept = min(out_len, n_samples)
+    flat[:kept] /= divisor[:kept]
     return AudioBuffer(flat[:n_samples], spec.sample_rate)

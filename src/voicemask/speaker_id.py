@@ -36,7 +36,6 @@ from .errors import (
 from .signal_core import AudioBuffer, _window_samples, read_text
 
 __all__ = [
-    "FeatureConfig",
     "SpeakerModel",
     "extract_cepstra",
     "covariance_model",
@@ -48,6 +47,13 @@ __all__ = [
     "load_models",
 ]
 
+# Feature settings: cepstra c1..c12 from 24 mel bands, in 25 ms frames every
+# 10 ms, after pre-emphasis of 0.97.
+_ORDER = 12
+_N_MEL = 24
+_FRAME_MS = 25.0
+_HOP_MS = 10.0
+_PREEMPHASIS = 0.97
 _ENERGY_FLOOR = 1e-10
 _REGULARIZATION = 1e-6
 # Feature frames windowed and transformed at once. A block's buffers (128 x
@@ -58,23 +64,6 @@ _FEATURE_BLOCK = 128
 # The LAPACK routines behind scipy's cho_factor/cho_solve, called directly
 # with the flags those wrappers pass, so every bit matches theirs.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Cepstral order and framing parameters for feature extraction."""
-
-    order: int = 12
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
-    preemphasis: float = 0.97
-    n_mel: int = 24
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise InvalidConfig(f"order must be >= 2, got {self.order}")
-        if self.frame_ms <= 0 or self.hop_ms <= 0 or self.n_mel < self.order:
-            raise InvalidConfig("invalid framing or filterbank parameters")
 
 
 @dataclass(frozen=True)
@@ -127,15 +116,15 @@ def _mel_filterbank(n_mel: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def _feature_framing(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> tuple[int, int]:
+def _feature_framing(buf: AudioBuffer) -> tuple[int, int]:
     """The feature frame and hop of a buffer, in samples, if it can be featurised.
 
     A sample rate too low for a one-sample frame and hop is InvalidConfig; a
     buffer shorter than one frame is TooShort.
     """
     fs = buf.sample_rate
-    frame = int(round(cfg.frame_ms * fs / 1000.0))
-    hop = int(round(cfg.hop_ms * fs / 1000.0))
+    frame = int(round(_FRAME_MS * fs / 1000.0))
+    hop = int(round(_HOP_MS * fs / 1000.0))
     if min(frame, hop) < 1:
         raise InvalidConfig(f"{fs} Hz gives {frame}-sample frames and {hop}-sample hops")
     if len(buf) < frame:
@@ -143,18 +132,30 @@ def _feature_framing(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> 
     return frame, hop
 
 
-def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Mel-cepstral coefficients c1..c_order per frame, shape (n_frames, order).
+def _check_frames(n: int, p: int) -> None:
+    """TooFewFrames unless n feature frames are enough for a p x p covariance model."""
+    if n < p + 1:
+        raise TooFewFrames(f"need at least {p + 1} frames, got {n}")
+
+
+def _check_probe(buf: AudioBuffer) -> None:
+    """Raise what modelling buf's features as a probe would, without computing them."""
+    frame, hop = _feature_framing(buf)
+    _check_frames((len(buf) - frame) // hop + 1, _ORDER)
+
+
+def extract_cepstra(buf: AudioBuffer) -> np.ndarray:
+    """Mel-cepstral coefficients c1..c12 per frame, shape (n_frames, 12).
 
     Pipeline: pre-emphasis, Hann-windowed frames, magnitude spectrum, mel
     filterbank, log energies floored at 1e-10, orthonormal DCT-II with c0
     dropped. A buffer that _feature_framing refuses raises its error.
     """
-    frame, hop = _feature_framing(buf, cfg)
+    frame, hop = _feature_framing(buf)
     fs, x = buf.sample_rate, buf.samples
-    emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
+    emphasized = np.concatenate([x[:1], x[1:] - _PREEMPHASIS * x[:-1]])
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame)[::hop]
-    window = _window_samples("hann", frame)
+    window = _window_samples(frame)
 
     n_fft = 1 << (frame - 1).bit_length()
     # Windowed frames go _FEATURE_BLOCK at a time into one zero-padded
@@ -165,10 +166,10 @@ def extract_cepstra(buf: AudioBuffer, cfg: FeatureConfig = FeatureConfig()) -> n
         block = frames[start : start + _FEATURE_BLOCK]
         np.multiply(block, window, out=padded[: len(block), :frame])
         np.abs(np.fft.rfft(padded[: len(block)], axis=1), out=spectrum[start : start + len(block)])
-    energies = spectrum @ _mel_filterbank(cfg.n_mel, n_fft, fs).T
+    energies = spectrum @ _mel_filterbank(_N_MEL, n_fft, fs).T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
     cepstra = scipy.fft.dct(log_energies, type=2, norm="ortho", axis=1)
-    return cepstra[:, 1 : cfg.order + 1]
+    return cepstra[:, 1 : _ORDER + 1]
 
 
 def covariance_model(feats: np.ndarray, label: str, gender: str = "U") -> SpeakerModel:
@@ -181,8 +182,7 @@ def covariance_model(feats: np.ndarray, label: str, gender: str = "U") -> Speake
     if feats.ndim != 2:
         raise DimensionMismatch("feature sequence must be 2-D")
     n, p = feats.shape
-    if n < p + 1:
-        raise TooFewFrames(f"need at least {p + 1} frames, got {n}")
+    _check_frames(n, p)
     centered = feats - feats.mean(axis=0)
     C = centered.T @ centered / (n - 1)
     C = 0.5 * (C + C.T)

@@ -20,6 +20,7 @@ from .signal_core import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
+    _check_length,
     _split_rows,
     bin_frequencies,
     istft,
@@ -199,7 +200,8 @@ class WarpAnalysis:
     """Warp-independent analysis of one buffer, shared by its warps.
 
     ``magnitude`` and ``phase`` (unwrapped along frequency) are the STFT
-    frames' polar parts, both read-only.
+    frames' polar parts, both read-only. Arrays that are not one analysis,
+    or an ``n_samples`` that _check_length refuses, are InvalidConfig.
     """
 
     magnitude: np.ndarray
@@ -215,6 +217,7 @@ class WarpAnalysis:
             and mag.shape[1] == n and mag.dtype.kind == phase.dtype.kind == "f"
         ):
             raise InvalidConfig(f"magnitude and phase must be real arrays of {n}-bin frames")
+        _check_length(self.n_samples)
         mag.setflags(write=False)
         phase.setflags(write=False)
 

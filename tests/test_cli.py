@@ -279,6 +279,19 @@ class TestEnrollIdentifyGender:
         assert "gender F" in err
         assert not store.exists()
 
+    @pytest.mark.parametrize("command,out", [("enroll", "--models"), ("sweep", "--out")])
+    def test_a_speaker_under_two_genders_is_runtime_error(self, capsys, tmp_path, command, out):
+        # enroll modelled s0 as male, and the sweep counted its test file under F.
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "path,speaker_id,gender,partition\na.wav,s0,M,train\nb.wav,s0,F,test\n"
+        )
+        code, stdout, err = run(capsys, command, "--manifest", str(manifest),
+                                out, str(tmp_path / "r"))
+        assert code == 1 and stdout == ""
+        assert err == "error: speaker s0 is listed under two genders\n"
+        assert list(tmp_path.iterdir()) == [manifest]
+
     @staticmethod
     def relabelled_manifest(corpus_dir, tmp_path, speaker, label):
         """The corpus manifest with one speaker id replaced by ``label``."""

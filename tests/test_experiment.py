@@ -78,6 +78,15 @@ class TestManifest:
             load_manifest(tmp_path / "m.csv")
         assert err.value.line == 2
 
+    def test_a_speaker_under_two_genders_is_invariant_violation(self, tmp_path):
+        # enroll modelled s0 as male, and the sweep counted its test file under F.
+        write_manifest(
+            tmp_path / "m.csv",
+            ["a.wav,s0,M,train", "b.wav,s0,F,test", "c.wav,s1,F,train", "d.wav,s1,F,test"],
+        )
+        with pytest.raises(InvariantViolation, match="^speaker s0 is listed under two genders$"):
+            load_manifest(tmp_path / "m.csv")
+
     def test_missing_test_entry_names_speaker(self, tmp_path):
         write_manifest(
             tmp_path / "m.csv",
@@ -213,9 +222,6 @@ class TestFindCrossover:
         curve = [(0, 1.0), (5, 0.4), (10, 0.9), (15, 0.1)]
         assert find_crossover(curve) == pytest.approx(0 + 5 * (1.0 - 0.5) / (1.0 - 0.4))
 
-    def test_custom_level(self):
-        assert find_crossover([(0, 1.0), (10, 0.0)], level=0.25) == pytest.approx(7.5)
-
     def test_rejects_unsorted_degrees(self):
         with pytest.raises(ValueError):
             find_crossover([(0, 1.0), (0, 0.4)])
@@ -312,6 +318,13 @@ class TestReport:
         with pytest.raises(ParseError, match="voc,M,0") as err:
             load_sweep(tmp_path / "sweep.csv")
         assert err.value.line == 3
+
+    def test_a_result_with_a_repeated_cell_is_invalid_config(self):
+        # curve pooled the two rows into 0.5, and emit_report wrote a
+        # sweep.csv that load_sweep refuses.
+        rows = (SweepRow("voc", "M", 0, 1.0, 1.0, 3), SweepRow("voc", "M", 0, 0.0, 0.0, 3))
+        with pytest.raises(InvalidConfig, match="^a second row for voc,M,0$"):
+            SweepResult(rows)
 
     def test_re_emission_byte_identical(self, tmp_path):
         result = tiny_result()
@@ -479,6 +492,18 @@ class TestSweepContract:
             f"skipping {short.path}: need at least 400 samples, got 399"
         ]
 
+    def test_a_file_too_short_for_a_probe_model_is_left_out_of_every_cell(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # 2,000 samples at 16 kHz are 11 feature frames; a 12-coefficient
+        # probe model needs 13. Each cell was transformed, then refused.
+        manifest = synth_corpus(11, 6, 2, tmp_path)
+        buf = AudioBuffer(np.sin(np.arange(2000) / 10.0), SR)
+        short = self.sweep_without_a_file(manifest, buf, monkeypatch, caplog)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {short.path}: need at least 13 frames, got 11"
+        ]
+
     def test_a_manifest_path_with_a_nul_byte_is_skipped_with_its_reason(self, tmp_path, caplog):
         synth_corpus(11, 6, 2, tmp_path)
         manifest_csv = tmp_path / "manifest.csv"
@@ -553,6 +578,16 @@ class TestSweepFile:
         assert caplog.records == []
         assert hits == {}
         assert len(skips) == 1 and skips[0].startswith(f"skipping {junk}: ")
+
+    def test_a_file_with_just_enough_frames_for_a_probe_is_swept(self, enrolled_corpus, tmp_path):
+        # 2,320 samples at 16 kHz are 13 feature frames, one per cepstrum and one more.
+        manifest, models = enrolled_corpus
+        entry = manifest.test_entries()[0]
+        path = tmp_path / "short.wav"
+        write_wav(path, AudioBuffer(np.random.default_rng(3).standard_normal(2320) * 0.1, SR))
+        hits, skips = self.sweep_file(ManifestEntry(path, entry.speaker_id, "M", "test"), models)
+        assert skips == []
+        assert len(hits) == len(self.SCHEDULES) * len(self.DEGREES)
 
     def test_an_unenrolled_speaker_is_skipped_before_reading(self, enrolled_corpus, caplog):
         _, models = enrolled_corpus

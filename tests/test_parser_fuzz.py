@@ -215,8 +215,10 @@ class TestSweepValues:
     @given(fields=st.lists(st.one_of(_PLAUSIBLE_ROW, _ONE_WILD_FIELD), min_size=1, max_size=8))
     def test_any_row_that_constructs_reports_without_a_stray_error(self, tmp_path_factory, fields):
         rows = [only_voicemask_error(SweepRow, *values) for values in fields]
-        result = SweepResult(tuple(row for row in rows if row is not None))
-        report_only_fails_as_voicemask_error(result, tmp_path_factory.getbasetemp() / "rows")
+        # The drawn rows may repeat a cell, which SweepResult refuses.
+        result = only_voicemask_error(SweepResult, tuple(row for row in rows if row is not None))
+        if result is not None:
+            report_only_fails_as_voicemask_error(result, tmp_path_factory.getbasetemp() / "rows")
 
 
 _33_BINS = StftConfig(frame_len=64, hop=16)

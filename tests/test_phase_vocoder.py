@@ -538,6 +538,11 @@ ANALYSIS_EDITS = {
         "frames": a.frames[:0], "inst_freq": a.inst_freq[:0], "regions": a.regions[:0],
         "offsets": a.offsets[:1],
     },
+    # istft refused the first three only after the whole shift; True passed as one sample.
+    "negative length": lambda a: {"n_samples": -10},
+    "float length": lambda a: {"n_samples": 2.5},
+    "text length": lambda a: {"n_samples": "7"},
+    "bool length": lambda a: {"n_samples": True},
 }
 
 

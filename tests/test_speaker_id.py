@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from voicemask import (
     AudioBuffer,
-    FeatureConfig,
     SpeakerModel,
     classify_gender,
     covariance_model,
@@ -63,23 +62,6 @@ class TestExtractCepstra:
 
     def test_lowest_rate_with_a_one_sample_hop_is_framed(self):
         assert extract_cepstra(AudioBuffer(np.ones(500), 51)).shape == (500, 12)
-
-    def test_order_respected(self):
-        cfg = FeatureConfig(order=8)
-        feats = extract_cepstra(make_vowel(seconds=0.3), cfg)
-        assert feats.shape[1] == 8
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(order=1)
-        with pytest.raises(ValueError):
-            FeatureConfig(n_mel=10)  # fewer mel bands than coefficients
-
-    @pytest.mark.parametrize("kwargs", [{"order": 1}, {"hop_ms": 0.0}, {"n_mel": 10}])
-    def test_config_errors_are_toolkit_errors(self, kwargs):
-        with pytest.raises(InvalidConfig) as caught:
-            FeatureConfig(**kwargs)
-        assert isinstance(caught.value, VoicemaskError)
 
 
 class TestCovarianceModel:

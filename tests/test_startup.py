@@ -171,6 +171,13 @@ class TestImports:
         with pytest.raises(AttributeError):
             voicemask.no_such_name
 
+    @pytest.mark.parametrize("module", list(voicemask._EXPORTS))
+    def test_each_export_is_in_its_home_modules_all(self, module):
+        # A name removed from one list and not the other would show here.
+        home = importlib.import_module(f"voicemask.{module}")
+        if hasattr(home, "__all__"):
+            assert set(voicemask._EXPORTS[module]) <= set(home.__all__)
+
     def test_package_loads_no_numpy(self):
         result = python(
             "import sys, voicemask; print(voicemask.__version__, 'numpy' in sys.modules)",

@@ -85,11 +85,6 @@ class TestRendererOracle:
         _, args = speaker_draw(seed, gender, f0, jitter)
         assert_same_samples(*render_both(seed, args))
 
-    @pytest.mark.parametrize("gender", ["M", "F"])
-    def test_without_tilt_wobble(self, gender):
-        _, args = speaker_draw(21, gender, None, None)
-        assert_same_samples(*render_both(21, args[:-1] + (0.0,)))
-
     def test_corpus_wav_bytes_are_equal(self, tmp_path, monkeypatch):
         synth_corpus(7, 4, 2, tmp_path / "new")
         calls = []

@@ -387,6 +387,12 @@ class TestWarpAnalysisChecks:
         with pytest.raises(InvalidConfig):
             WarpAnalysis(magnitude, phase, StftConfig(), SR, 1024)
 
+    @pytest.mark.parametrize("n_samples", [-10, 2.5, "7", True])
+    def test_a_length_that_is_not_a_count_is_refused(self, n_samples):
+        # istft refused the first three only after the whole warp; True passed as one sample.
+        with pytest.raises(InvalidConfig, match="n_samples"):
+            WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, n_samples)
+
     def test_one_analysis_is_accepted(self):
         analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, 1024)
         assert len(warp_analysed(analysis, WarpSpec("quadratic", 0.5))) == 1024
