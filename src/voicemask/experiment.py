@@ -86,7 +86,7 @@ class SweepRow:
     integer in 0..MAX_DEGREE, a rate that is not a float or int in [0, 1]
     (nan included), or an n_files that is not an integer in 1..2**53 (past
     which counts are not exact floats, and curve's weighted sums could
-    overflow).
+    overflow). A bool is none of these: emit_report would write it as True.
     """
 
     algorithm: str
@@ -111,7 +111,7 @@ class SweepRow:
 
 
 def _within(value, kind, lo, hi) -> bool:
-    return isinstance(value, kind) and lo <= value <= hi
+    return isinstance(value, kind) and not isinstance(value, bool) and lo <= value <= hi
 
 
 @dataclass(frozen=True)

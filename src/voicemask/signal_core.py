@@ -12,6 +12,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +51,23 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64).copy()
+        self._settle(np.asarray(self.samples, dtype=np.float64).copy(), self.sample_rate)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate) -> AudioBuffer:
+        """A buffer holding samples, a float64 array its caller made and drops, without a copy."""
+        buf = object.__new__(cls)
+        buf._settle(samples, sample_rate)
+        return buf
+
+    def _settle(self, samples: np.ndarray, sample_rate) -> None:
+        """Check samples and sample_rate, make samples read-only and set both fields."""
         if samples.ndim != 1:
             raise InvalidConfig("samples must be one-dimensional")
-        if samples.size and not np.all(np.isfinite(samples)):
+        # min and max carry any nan or inf through, with no array of flags.
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise NonFiniteSignal("samples must be finite")
-        rate = int(self.sample_rate)
-        if rate <= 0:
-            raise InvalidConfig("sample_rate must be positive")
+        rate = _checked_rate(sample_rate)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)
@@ -116,7 +126,7 @@ class Spectrogram:
                 f"frames have {frames.shape[1]} bins, config implies {self.config.n_bins}"
             )
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
 
     @property
     def n_frames(self) -> int:
@@ -127,9 +137,21 @@ class Spectrogram:
         return self.frames.shape[1]
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _checked_rate(sample_rate) -> int:
+    """sample_rate as an int; InvalidConfig unless it is an integer >= 1 (a bool is not)."""
+    if not _is_integer(sample_rate) or sample_rate < 1:
+        raise InvalidConfig(f"sample_rate must be an integer >= 1, got {sample_rate!r}")
+    return int(sample_rate)
+
+
 def _check_length(n_samples) -> None:
     """InvalidConfig unless n_samples, an output length, is an integer >= 0 (a bool is not)."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+    if not _is_integer(n_samples) or n_samples < 0:
         raise InvalidConfig(f"n_samples must be an integer >= 0, got {n_samples!r}")
 
 
@@ -237,14 +259,15 @@ def read_wav(path) -> AudioBuffer:
     fmt = fmt_body = None
     payload = None
     pos = 12
+    view = memoryview(data)  # chunk bodies are sliced without copying them
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWav(f"{path}: fmt chunk truncated")
-            fmt, fmt_body = struct.unpack_from("<HHIIHH", body, 0), body
+            fmt, fmt_body = struct.unpack_from("<HHIIHH", body, 0), bytes(body)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise MalformedWav(f"{path}: data chunk truncated")
@@ -259,29 +282,34 @@ def read_wav(path) -> AudioBuffer:
     if format_tag == _FMT_EXTENSIBLE:
         format_tag = _extensible_format_tag(path, fmt_body)
 
+    # Samples are widened once, into the array the buffer keeps, and scaled in
+    # place: a ufunc with a cast would add a buffer, and AudioBuffer a copy.
     if format_tag == _FMT_PCM and bits == 8:
-        samples = (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+        samples = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        samples -= 128.0
+        samples /= 128.0
     elif format_tag == _FMT_PCM and bits == 16:
-        samples = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2")
-        samples = samples.astype(np.float64) / 32768.0
+        samples = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2").astype(np.float64)
+        samples /= 32768.0
     elif format_tag == _FMT_PCM and bits == 24:
         raw = np.frombuffer(payload[: len(payload) // 3 * 3], dtype=np.uint8)
         raw = raw.reshape(-1, 3).astype(np.int32)
         value = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
         value -= (value & 0x800000) << 1  # sign extension
-        samples = value.astype(np.float64) / 8388608.0
+        samples = value.astype(np.float64)
+        samples /= 8388608.0
     elif format_tag == _FMT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
-        if not np.all(np.isfinite(samples)):  # checked before widening: a signalling NaN warns
+        pcm = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4")
+        if not np.all(np.isfinite(pcm)):  # checked before widening: a signalling NaN warns
             raise MalformedWav(f"{path}: float samples must be finite")
-        samples = samples.astype(np.float64)
+        samples = pcm.astype(np.float64)
     else:
         raise UnsupportedEncoding(f"{path}: format tag {format_tag} with {bits} bits")
 
     if channels > 1:
         samples = samples[: samples.size // channels * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(samples, rate)
+    return AudioBuffer._adopt(samples, rate)
 
 
 def write_wav(path, buf: AudioBuffer) -> None:
@@ -404,4 +432,4 @@ def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
             acc[start + k : start + k + len(frames), :width] += frames[:, cols]
     kept = min(out_len, n_samples)
     flat[:kept] /= divisor[:kept]
-    return AudioBuffer(flat[:n_samples], spec.sample_rate)
+    return AudioBuffer._adopt(flat[:n_samples], spec.sample_rate)

@@ -12,6 +12,7 @@ with the eigenvalue spread of A B^-1. Lower is more similar.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -56,11 +57,13 @@ _HOP_MS = 10.0
 _PREEMPHASIS = 0.97
 _ENERGY_FLOOR = 1e-10
 _REGULARIZATION = 1e-6
-# Feature frames windowed and transformed at once. A block's buffers (128 x
-# 512 samples at 16 kHz) are small enough for the allocator to reuse their
-# memory; whole-utterance ones were unmapped after every call and faulted
-# back in for the next.
+# Feature frames windowed and transformed at once.
 _FEATURE_BLOCK = 128
+# Bytes of working arrays one thread keeps between extract_cepstra calls (see
+# _scratch_arrays). 4 MiB holds an 11 s utterance at 16 kHz; a call that
+# needs more allocates its own and keeps none.
+_SCRATCH_BYTES = 4 << 20
+_scratch = threading.local()
 # The LAPACK routines behind scipy's cho_factor/cho_solve, called directly
 # with the flags those wrappers pass, so every bit matches theirs.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
@@ -144,6 +147,23 @@ def _check_probe(buf: AudioBuffer) -> None:
     _check_frames((len(buf) - frame) // hop + 1, _ORDER)
 
 
+def _scratch_arrays(*sizes: int) -> list[np.ndarray]:
+    """Flat float64 arrays of at least the given sizes, this thread's own.
+
+    Arrays that fit in _SCRATCH_BYTES together are kept for the thread's
+    next call, so their pages stay mapped: memory freed after a call went
+    back to the system and was faulted in again by the next one. They hold
+    nothing from one call to the next. Larger requests are fresh arrays,
+    and the thread keeps what it kept before.
+    """
+    if 8 * sum(sizes) > _SCRATCH_BYTES:
+        return [np.empty(n) for n in sizes]
+    kept = getattr(_scratch, "arrays", None)
+    if kept is None or any(a.size < n for a, n in zip(kept, sizes)):
+        kept = _scratch.arrays = [np.empty(n) for n in sizes]
+    return kept
+
+
 def extract_cepstra(buf: AudioBuffer) -> np.ndarray:
     """Mel-cepstral coefficients c1..c12 per frame, shape (n_frames, 12).
 
@@ -153,16 +173,25 @@ def extract_cepstra(buf: AudioBuffer) -> np.ndarray:
     """
     frame, hop = _feature_framing(buf)
     fs, x = buf.sample_rate, buf.samples
-    emphasized = np.concatenate([x[:1], x[1:] - _PREEMPHASIS * x[:-1]])
+    n_fft = 1 << (frame - 1).bit_length()
+    n_frames = (x.size - frame) // hop + 1
+    n_rows, n_bins = min(_FEATURE_BLOCK, n_frames), n_fft // 2 + 1
+    emphasized, padded, spectrum = _scratch_arrays(x.size, n_rows * n_fft, n_frames * n_bins)
+
+    # Pre-emphasis: x[0], then x[1:] - _PREEMPHASIS * x[:-1], computed in place.
+    emphasized = emphasized[: x.size]
+    emphasized[0] = x[0]
+    rest = emphasized[1:]
+    np.subtract(x[1:], np.multiply(x[:-1], _PREEMPHASIS, out=rest), out=rest)
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame)[::hop]
     window = _window_samples(frame)
 
-    n_fft = 1 << (frame - 1).bit_length()
     # Windowed frames go _FEATURE_BLOCK at a time into one zero-padded
     # buffer; only the magnitude spectrum is kept whole, for one matmul.
-    padded = np.zeros((min(_FEATURE_BLOCK, len(frames)), n_fft))
-    spectrum = np.empty((len(frames), n_fft // 2 + 1))
-    for start in range(0, len(frames), _FEATURE_BLOCK):
+    padded = padded[: n_rows * n_fft].reshape(n_rows, n_fft)
+    padded[:, frame:] = 0.0
+    spectrum = spectrum[: n_frames * n_bins].reshape(n_frames, n_bins)
+    for start in range(0, n_frames, _FEATURE_BLOCK):
         block = frames[start : start + _FEATURE_BLOCK]
         np.multiply(block, window, out=padded[: len(block), :frame])
         np.abs(np.fft.rfft(padded[: len(block)], axis=1), out=spectrum[start : start + len(block)])

@@ -1,5 +1,7 @@
 """Shared synthesis and measurement helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from voicemask import AudioBuffer, PitchAnalysis, StftConfig, stft
@@ -59,6 +61,21 @@ def planned_tracks(analysis, spec):
         {int(d): float(a) for d, a in zip(dests[lo:hi], angles[lo:hi])}
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
+
+
+def traced_peak(fn, *args, warm=True):
+    """Peak traced memory of one call of fn(*args), the output included.
+
+    With warm, fn is called once untraced first, to fill its caches.
+    """
+    if warm:
+        fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def interior_snr_db(reference, produced, margin=1024):

@@ -326,6 +326,22 @@ class TestReport:
         with pytest.raises(InvalidConfig, match="^a second row for voc,M,0$"):
             SweepResult(rows)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("voc", "M", True, 1.0, 1.0, 1),
+            ("voc", "M", False, 1.0, 1.0, 1),
+            ("voc", "M", 0, 1.0, 1.0, True),
+            ("voc", "M", 0, True, 1.0, 1),
+            ("voc", "M", 0, 1.0, False, 1),
+        ],
+        ids=["degree True", "degree False", "n_files True", "gender rate True", "id rate False"],
+    )
+    def test_a_bool_field_is_invalid_config(self, fields):
+        # bool is Integral: emit_report wrote voc,M,True,... and load_sweep refused it.
+        with pytest.raises(InvalidConfig):
+            SweepRow(*fields)
+
     def test_re_emission_byte_identical(self, tmp_path):
         result = tiny_result()
         emit_report(result, tmp_path / "a")

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from helpers import (
     make_vowel,
     pitch_analysis,
     planned_tracks,
+    traced_peak,
 )
 
 
@@ -413,17 +413,6 @@ def corpus_analysis(corpus_buffer):
     analysis = analyse_pitch(corpus_buffer)
     assert analysis.frames.shape == (184, 513) and len(analysis.regions) == 22333
     return analysis
-
-
-def traced_peak(fn, *args):
-    """Peak traced memory of one call, the output included."""
-    fn(*args)  # fills the window cache
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def frozen_inst_freq(frames, hop):
