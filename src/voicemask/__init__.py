@@ -23,8 +23,8 @@ _EXPORTS = {
         "find_crossover", "load_sweep", "run_degree_sweep",
     ),
     "phase_vocoder": (
-        "PhasePropagator", "PitchAnalysis", "PitchShiftSpec", "analyse_pitch", "detect_peaks",
-        "pitch_shift", "regions_of_influence", "shift_analysed",
+        "PhasePropagator", "PitchAnalysis", "PitchShiftSpec", "analyse_pitch", "pitch_shift",
+        "shift_analysed",
     ),
     "signal_core": (
         "AudioBuffer", "Spectrogram", "StftConfig", "istft", "read_wav", "stft", "write_wav",

@@ -149,8 +149,8 @@ class DegreeSchedule:
         return "pitch" if self.algorithm in PITCH_ALGORITHMS else "warp"
 
     def parameter(self, degree: int, gender: str | None = None) -> float:
-        if not 0 <= degree <= MAX_DEGREE:
-            raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
+        if not (signal_core._is_integer(degree) and 0 <= degree <= MAX_DEGREE):
+            raise InvalidConfig(f"degree must be an integer in 0..{MAX_DEGREE}, got {degree!r}")
         if self.algorithm == "voc":
             return 2.0 ** (degree / 24.0)
         if self.algorithm == "vocf":

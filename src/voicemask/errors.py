@@ -25,14 +25,6 @@ class NonFiniteSignal(VoicemaskError, ValueError):
     """Samples that are not finite, or too large to transform without overflow."""
 
 
-class EmptyPeakSet(VoicemaskError):
-    """Region partitioning was asked to run on a frame with no peaks."""
-
-
-class InvalidPeakSet(VoicemaskError, ValueError):
-    """Peaks that are out of range, unsorted, repeated or adjacent."""
-
-
 class InvalidAlpha(VoicemaskError):
     """Warping parameter outside the valid range of its family."""
 

@@ -280,11 +280,17 @@ def find_crossover(curve) -> float:
     """First linearly-interpolated degree where the rate falls below 0.5, the 50% point.
 
     A curve that starts below 0.5 returns its first degree; one that never
-    falls below it raises NoCrossover.
+    falls below it raises NoCrossover. A curve that is not (finite degree,
+    rate in [0, 1]) pairs is InvalidConfig.
     """
-    points = [(float(d), float(r)) for d, r in curve]
+    try:
+        points = [(float(d), float(r)) for d, r in curve]
+    except (TypeError, ValueError):
+        raise InvalidConfig("curve must hold (degree, rate) pairs of numbers") from None
     if not points:
         raise InvalidConfig("curve is empty")
+    if not all(np.isfinite(d) and 0.0 <= r <= 1.0 for d, r in points):  # NaN fails too
+        raise InvalidConfig("degrees must be finite and rates in [0, 1]")
     degrees = [d for d, _ in points]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise InvalidConfig("degrees must be strictly increasing")

@@ -11,8 +11,7 @@ Peaks, regions and instantaneous frequencies depend on the analysis spectrum
 alone, not on the ratio, so ``analyse_pitch`` computes them once per buffer
 and ``shift_analysed`` turns that analysis into a shifted buffer at any ratio.
 ``analyse_pitch`` finds the peaks and regions of all frames in one pass over
-the frame stack; ``detect_peaks`` and ``regions_of_influence`` are its
-one-frame case. ``_plan`` plans all frames of a shift at once; a
+the frame stack. ``_plan`` plans all frames of a shift at once; a
 ``PhasePropagator`` renders that plan and returns one synthesis frame per
 ``advance()``.
 """
@@ -23,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet
+from .errors import InvalidConfig
 from .signal_core import (
     AudioBuffer,
     Spectrogram,
     StftConfig,
     _check_length,
+    _checked_rate,
     bin_frequencies,
     istft,
     stft,
@@ -38,8 +38,6 @@ __all__ = [
     "VARIANTS",
     "PitchShiftSpec",
     "PitchAnalysis",
-    "detect_peaks",
-    "regions_of_influence",
     "PhasePropagator",
     "analyse_pitch",
     "shift_analysed",
@@ -66,24 +64,11 @@ class PitchShiftSpec:
         object.__setattr__(self, "ratio", float(self.ratio))
 
 
-def _peak_mask(mag: np.ndarray, neighbor_span: int) -> np.ndarray:
-    """Mask of the bins whose magnitude strictly exceeds all neighbors in span.
-
-    Works along the last axis, so every row of a frame stack is its own
-    spectrum. Only interior bins with a complete neighborhood qualify.
-    """
-    if neighbor_span not in (2, 4):
-        raise InvalidConfig(f"neighbor_span must be 2 or 4, got {neighbor_span}")
-    n = mag.shape[-1]
-    half = neighbor_span // 2
+def _peak_mask(mag: np.ndarray) -> np.ndarray:
+    """Mask of the interior bins of each row whose magnitude exceeds both neighbours'."""
     is_peak = np.zeros(mag.shape, dtype=bool)
-    if n >= 2 * half + 1:
-        core = mag[..., half : n - half]
-        inner = is_peak[..., half : n - half]
-        inner[...] = True
-        for off in range(1, half + 1):
-            inner &= core > mag[..., half - off : n - half - off]
-            inner &= core > mag[..., half + off : n - half + off]
+    core = mag[:, 1:-1]
+    is_peak[:, 1:-1] = (core > mag[:, :-2]) & (core > mag[:, 2:])
     return is_peak
 
 
@@ -139,38 +124,6 @@ def _partition(mag: np.ndarray, is_peak: np.ndarray) -> np.ndarray:
     hi[right - 1] = bounds
     lo[right] = bounds + 1
     return regions
-
-
-def detect_peaks(frame: np.ndarray, neighbor_span: int = 2) -> np.ndarray:
-    """Indices of bins whose magnitude strictly exceeds all neighbors in span.
-
-    Only interior bins with a complete neighborhood qualify; the result is a
-    strictly increasing int array (possibly empty).
-    """
-    return np.flatnonzero(_peak_mask(np.abs(np.asarray(frame)), neighbor_span))
-
-
-def regions_of_influence(frame: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Partition all bins into contiguous regions, one per peak.
-
-    ``peaks`` must be bins of the frame, strictly increasing with at least
-    one bin between neighbors (InvalidPeakSet otherwise). The boundary
-    between consecutive peaks sits at the lowest-magnitude bin strictly
-    between them (ties to the lower index) and closes the left region.
-    Returns an int array of (peak, lo, hi) rows covering every bin.
-    """
-    peaks = np.asarray(peaks, dtype=np.intp)
-    if peaks.size == 0:
-        raise EmptyPeakSet("cannot partition a frame with no peaks")
-    mag = np.abs(np.asarray(frame))
-    if peaks.ndim != 1 or peaks[0] < 0 or peaks[-1] >= mag.size or np.any(np.diff(peaks) < 2):
-        raise InvalidPeakSet(
-            f"peaks must be increasing bins of 0..{mag.size - 1} with a bin between "
-            f"neighbors, got {peaks.tolist()}"
-        )
-    is_peak = np.zeros(mag.size, dtype=bool)
-    is_peak[peaks] = True
-    return _partition(mag[None], is_peak[None])
 
 
 def _translation(ratio: float, n: int) -> tuple[np.ndarray, int, int]:
@@ -385,7 +338,7 @@ class PitchAnalysis:
     row of ``regions`` that owns each bin, voiced frame after voiced frame.
     All arrays are read-only. Arrays that are not one such analysis,
     regions that do not tile each voiced frame around their peaks, or an
-    ``n_samples`` that _check_length refuses, are InvalidConfig.
+    ``n_samples`` or ``sample_rate`` that istft would refuse, are InvalidConfig.
     """
 
     frames: np.ndarray
@@ -410,6 +363,7 @@ class PitchAnalysis:
         ):
             raise InvalidConfig(f"arrays must describe one analysis of {n}-bin frames")
         _check_length(self.n_samples)
+        object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
         peak, lo, hi = regions.T
         counts = np.diff(offsets)
         starts, ends = offsets[:-1][counts > 0], offsets[1:][counts > 0] - 1
@@ -454,10 +408,8 @@ def _instantaneous_frequency(phase: np.ndarray, hop: int) -> np.ndarray:
     return inst_freq
 
 
-def analyse_pitch(
-    buf: AudioBuffer, cfg: StftConfig = StftConfig(), neighbor_span: int = 2
-) -> PitchAnalysis:
-    """Analyse a buffer once for pitch shifting at any ratio, peaks as detect_peaks finds them."""
+def analyse_pitch(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> PitchAnalysis:
+    """Analyse a buffer once for pitch shifting at any ratio; a peak exceeds both neighbours."""
     frames = stft(buf, cfg).frames
     # The magnitudes and phases share one allocation the size of the frames.
     # Freed together, it is a block the shift's output frames fit in; as two
@@ -465,7 +417,7 @@ def analyse_pitch(
     # faults in a 16-request deidentify round (README).
     mag, phase = np.empty((2,) + frames.shape)
     np.abs(frames, out=mag)
-    is_peak = _peak_mask(mag, neighbor_span)
+    is_peak = _peak_mask(mag)
     regions = _partition(mag, is_peak)
     offsets = np.concatenate(([0], np.cumsum(is_peak.sum(axis=1))))
     np.arctan2(frames.imag, frames.real, out=phase)  # np.angle(frames)
@@ -488,9 +440,5 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
 
 
 def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
-    """Shift the pitch of a buffer by spec.ratio; duration is preserved.
-
-    Peaks are found over the default neighbourhood; for 4 neighbours use
-    ``shift_analysed(analyse_pitch(buf, cfg, 4), spec)``.
-    """
+    """Shift the pitch of a buffer by spec.ratio; duration is preserved."""
     return shift_analysed(analyse_pitch(buf, cfg), spec)

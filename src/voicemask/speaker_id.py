@@ -34,7 +34,7 @@ from .errors import (
     TooFewFrames,
     TooShort,
 )
-from .signal_core import AudioBuffer, _window_samples, read_text
+from .signal_core import AudioBuffer, _is_integer, _window_samples, read_text
 
 __all__ = [
     "SpeakerModel",
@@ -89,6 +89,8 @@ class SpeakerModel:
             raise InvalidModel("covariance must be symmetric")
         if self.gender not in ("M", "F", "U"):
             raise InvalidModel(f"gender must be M, F, or U, got {self.gender!r}")
+        if not _is_integer(self.n_frames) or self.n_frames < 0:
+            raise InvalidModel(f"n_frames must be an integer >= 0, got {self.n_frames!r}")
         C.setflags(write=False)
         object.__setattr__(self, "C", C)
 

@@ -21,6 +21,7 @@ from .signal_core import (
     Spectrogram,
     StftConfig,
     _check_length,
+    _checked_rate,
     _split_rows,
     bin_frequencies,
     istft,
@@ -201,7 +202,8 @@ class WarpAnalysis:
 
     ``magnitude`` and ``phase`` (unwrapped along frequency) are the STFT
     frames' polar parts, both read-only. Arrays that are not one analysis,
-    or an ``n_samples`` that _check_length refuses, are InvalidConfig.
+    or an ``n_samples`` or ``sample_rate`` that istft would refuse, are
+    InvalidConfig.
     """
 
     magnitude: np.ndarray
@@ -218,6 +220,7 @@ class WarpAnalysis:
         ):
             raise InvalidConfig(f"magnitude and phase must be real arrays of {n}-bin frames")
         _check_length(self.n_samples)
+        object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
         mag.setflags(write=False)
         phase.setflags(write=False)
 

@@ -127,6 +127,17 @@ class TestDegreeSchedule:
         assert DegreeSchedule("bilinear").parameter(25, "F") == pytest.approx(0.1625)
         assert DegreeSchedule("bilinear").parameter(25, "M") == pytest.approx(-0.1075)
 
+    @pytest.mark.parametrize("degree", ["3", 1.5, 2.0, True, False, None])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_degree_that_is_not_an_integer_is_invalid_config(self, algorithm, degree):
+        # "3" raised a bare TypeError; 1.5 and True gave a parameter.
+        with pytest.raises(InvalidConfig, match="degree"):
+            DegreeSchedule(algorithm).parameter(degree, "M")
+
+    def test_a_numpy_integer_degree_is_a_degree(self):
+        schedule = DegreeSchedule("voc")
+        assert schedule.parameter(np.int64(13)) == schedule.parameter(13)
+
     def test_warp_needs_gender(self):
         with pytest.raises(ValueError):
             DegreeSchedule("bilinear").parameter(5)
@@ -229,6 +240,28 @@ class TestFindCrossover:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             find_crossover([])
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            [("a", 1.0)],
+            [(0, 1.0, 2)],
+            [None],
+            [(0, np.nan), (1, 0.3)],
+            [(0, 1.0), (np.inf, 0.2)],
+            [(np.nan, 1.0), (1, 0.3)],
+            [(0, 2.0), (1, 0.3)],
+            [(0, 1.0), (1, -0.1)],
+        ],
+        ids=[
+            "text degree", "triple", "not a pair", "nan rate", "infinite degree", "nan degree",
+            "rate above 1", "rate below 0",
+        ],
+    )
+    def test_a_curve_that_is_not_degree_rate_pairs_is_invalid_config(self, curve):
+        # A text degree raised a bare ValueError, a nan rate gave nan, an infinite degree inf.
+        with pytest.raises(InvalidConfig):
+            find_crossover(curve)
 
 
 class TestAggregateMos:

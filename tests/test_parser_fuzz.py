@@ -18,18 +18,17 @@ from voicemask import (
     SweepResult,
     SweepRow,
     aggregate_mos,
-    detect_peaks,
     emit_report,
     find_crossover,
     load_manifest,
     load_models,
     load_sweep,
-    regions_of_influence,
     shift_analysed,
 )
 from voicemask.errors import InvalidConfig, IoFailure, ParseError, VoicemaskError
 from voicemask.phase_vocoder import VARIANTS
 
+import peak_reference
 from helpers import pitch_analysis
 
 
@@ -237,8 +236,8 @@ def perturbed_analyses(draw):
     shape = (len(voiced), _33_BINS.n_bins)
     frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
     partitions = [
-        regions_of_influence(frame, detect_peaks(frame)) if is_voiced else None
-        for frame, is_voiced in zip(frames, voiced)
+        partition if is_voiced else None
+        for partition, is_voiced in zip(peak_reference.partitions(frames, 2), voiced)
     ]
     inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, shape)
     value = draw(_ANY_INDEX_VALUE)

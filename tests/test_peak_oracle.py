@@ -1,8 +1,8 @@
 """Property tests for the one-pass peak and region finder.
 
 ``analyse_pitch`` finds every frame's peaks and regions of influence in one
-pass over the frame stack, and ``detect_peaks``/``regions_of_influence`` are
-its one-frame case. All three must agree byte for byte with the per-frame
+pass over the frame stack: ``_peak_mask`` marks the peaks and ``_partition``
+bounds their regions. All three must agree byte for byte with the per-frame
 loop frozen in ``peak_reference.py``, with None exactly where a frame has no
 peak.
 """
@@ -15,14 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voicemask import (
-    AudioBuffer,
-    Spectrogram,
-    StftConfig,
-    analyse_pitch,
-    detect_peaks,
-    regions_of_influence,
-)
+from voicemask import AudioBuffer, Spectrogram, StftConfig, analyse_pitch
 from voicemask import phase_vocoder
 
 import peak_reference
@@ -68,16 +61,16 @@ def assert_same(got, want):
 
 class TestAnalysePitchMatchesPerFrameLoop:
     @settings(max_examples=300, deadline=None)
-    @given(frames=stacks((5, 9, 17, 33)), span=st.sampled_from([2, 4]))
-    def test_partitions_byte_equal(self, frames, span):
+    @given(frames=stacks((5, 9, 17, 33)))
+    def test_partitions_byte_equal(self, frames):
         cfg = StftConfig(frame_len=2 * (frames.shape[1] - 1), hop=1)
 
         def fixed_stft(buf, cfg):
             return Spectrogram(frames, cfg, buf.sample_rate)
 
         with mock.patch.object(phase_vocoder, "stft", fixed_stft):
-            analysis = analyse_pitch(AudioBuffer(np.zeros(8), 8000), cfg, span)
-        want = peak_reference.partitions(frames, span)
+            analysis = analyse_pitch(AudioBuffer(np.zeros(8), 8000), cfg)
+        want = peak_reference.partitions(frames, 2)
         got_partitions = frame_partitions(analysis)
         assert len(got_partitions) == len(want)
         for got, expected in zip(got_partitions, want):
@@ -90,18 +83,22 @@ class TestAnalysePitchMatchesPerFrameLoop:
 
 class TestOneFrameCase:
     @settings(max_examples=300, deadline=None)
-    @given(frames=stacks(range(5, 65), max_frames=1), span=st.sampled_from([2, 4]))
-    def test_detect_peaks_byte_equal(self, frames, span):
-        want = peak_reference.detect_peaks(np.abs(frames[0]), span)
-        assert_same(detect_peaks(frames[0], span), want)
+    @given(frames=stacks(range(1, 65), max_frames=1))
+    def test_peaks_byte_equal(self, frames):
+        # Frames of 1 and 2 bins have no interior bin, so no peak.
+        mag = np.abs(frames)
+        want = peak_reference.detect_peaks(mag[0], 2)
+        assert_same(np.flatnonzero(phase_vocoder._peak_mask(mag)), want)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), frames=stacks(range(5, 65), max_frames=1))
     def test_regions_of_any_peak_set_byte_equal(self, data, frames):
-        frame = frames[0]
-        peaks = data.draw(peak_sets(frame.size))
-        want = peak_reference.regions_of_influence(np.abs(frame), peaks)
-        assert_same(regions_of_influence(frame, peaks), want)
+        mag = np.abs(frames)
+        peaks = data.draw(peak_sets(mag.shape[1]))
+        is_peak = np.zeros(mag.shape, dtype=bool)
+        is_peak[0, peaks] = True
+        want = peak_reference.regions_of_influence(mag[0], peaks)
+        assert_same(phase_vocoder._partition(mag, is_peak), want)
 
 
 # Marked peaks per row of a 17-bin stack: each gap closes at the next peak of

@@ -10,17 +10,16 @@ from voicemask import (
     StftConfig,
     analyse_pitch,
     analyse_warp,
-    detect_peaks,
     pitch_shift,
     read_wav,
-    regions_of_influence,
     shift_analysed,
     stft,
     synth_corpus,
 )
-from voicemask.errors import EmptyPeakSet, InvalidConfig, InvalidPeakSet, VoicemaskError
-from voicemask.phase_vocoder import VARIANTS, _instantaneous_frequency
+from voicemask.errors import InvalidConfig, VoicemaskError
+from voicemask.phase_vocoder import VARIANTS, _instantaneous_frequency, _partition, _peak_mask
 
+import peak_reference
 import phase_reference
 from helpers import (
     SR,
@@ -36,13 +35,8 @@ from helpers import (
 )
 
 
-def brute_force_peaks(mag, span):
-    half = span // 2
-    return [
-        i
-        for i in range(half, len(mag) - half)
-        if all(mag[i] > mag[i + o] and mag[i] > mag[i - o] for o in range(1, half + 1))
-    ]
+def brute_force_peaks(mag):
+    return [i for i in range(1, len(mag) - 1) if mag[i - 1] < mag[i] > mag[i + 1]]
 
 
 def brute_force_regions(mag, peaks):
@@ -58,82 +52,71 @@ def brute_force_regions(mag, peaks):
     return rows
 
 
-class TestDetectPeaks:
+def peaks_of(mag):
+    """The bins analyse_pitch takes as peaks in one frame of magnitudes."""
+    return np.flatnonzero(_peak_mask(np.asarray(mag, dtype=float)[None]))
+
+
+def regions_of(mag, peaks):
+    """The (peak, lo, hi) rows analyse_pitch gives the given peaks of one frame."""
+    mag = np.asarray(mag, dtype=float)[None]
+    is_peak = np.zeros(mag.shape, dtype=bool)
+    is_peak[0, peaks] = True
+    return _partition(mag, is_peak)
+
+
+class TestPeaks:
     def test_reference_example(self):
-        frame = np.array([0, 1, 3, 1, 0, 2, 5, 2, 0], dtype=complex)
-        assert list(detect_peaks(frame, 2)) == [2, 6]
+        assert list(peaks_of([0, 1, 3, 1, 0, 2, 5, 2, 0])) == [2, 6]
 
     def test_monotone_ramp_has_no_peaks(self):
-        assert detect_peaks(np.arange(16, dtype=complex), 2).size == 0
+        assert peaks_of(np.arange(16)).size == 0
 
     def test_all_equal_has_no_peaks(self):
-        assert detect_peaks(np.ones(16, dtype=complex), 2).size == 0
+        assert peaks_of(np.ones(16)).size == 0
 
-    def test_span_four_needs_wider_margin(self):
-        frame = np.array([0, 5, 0, 0, 0, 0], dtype=complex)
-        assert detect_peaks(frame, 2).size == 1
-        assert detect_peaks(frame, 4).size == 0  # bin 1 lacks two left neighbors
+    @pytest.mark.parametrize(
+        "mag,want",
+        [([5.0], []), ([5.0, 0.0], []), ([0.0, 5.0, 0.0], [1]), ([5, 0, 5, 0, 5], [2])],
+        ids=["1 bin", "2 bins", "3 bins", "edge bins"],
+    )
+    def test_only_interior_bins_qualify(self, mag, want):
+        assert list(peaks_of(mag)) == want
 
-    @pytest.mark.parametrize("span", [2, 4])
-    def test_matches_brute_force(self, span):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             mag = rng.random(rng.integers(5, 120))
-            assert list(detect_peaks(mag.astype(complex), span)) == brute_force_peaks(mag, span)
-
-    def test_invalid_span(self):
-        with pytest.raises(ValueError):
-            detect_peaks(np.ones(8, dtype=complex), 3)
+            assert list(peaks_of(mag)) == brute_force_peaks(mag)
 
 
 class TestRegionsOfInfluence:
     def test_reference_example(self):
-        frame = np.array([0, 1, 3, 1, 0, 2, 5, 2, 0], dtype=complex)
-        partition = regions_of_influence(frame, detect_peaks(frame, 2))
-        assert partition.tolist() == [[2, 0, 4], [6, 5, 8]]
+        mag = [0, 1, 3, 1, 0, 2, 5, 2, 0]
+        assert regions_of(mag, peaks_of(mag)).tolist() == [[2, 0, 4], [6, 5, 8]]
 
     def test_single_peak_covers_everything(self):
-        frame = np.array([0, 1, 5, 1, 0, 0], dtype=complex)
-        assert regions_of_influence(frame, np.array([2])).tolist() == [[2, 0, 5]]
+        assert regions_of([0, 1, 5, 1, 0, 0], [2]).tolist() == [[2, 0, 5]]
 
     def test_tie_breaks_to_lower_index(self):
-        mag = np.array([0.0, 5.0, 1.0, 1.0, 1.0, 5.0, 0.0])
-        partition = regions_of_influence(mag.astype(complex), np.array([1, 5]))
+        partition = regions_of([0.0, 5.0, 1.0, 1.0, 1.0, 5.0, 0.0], [1, 5])
         assert partition.tolist() == [[1, 0, 2], [5, 3, 6]]
 
-    def test_empty_peaks_rejected(self):
-        with pytest.raises(EmptyPeakSet):
-            regions_of_influence(np.ones(8, dtype=complex), np.array([], dtype=int))
-
-    @pytest.mark.parametrize(
-        "peaks",
-        [[1, 2], [5, 1], [1, 1, 5], [3, 9], [-1, 4], [[2, 6]]],
-        ids=["adjacent", "unsorted", "repeated", "past the end", "negative", "2-D"],
-    )
-    def test_invalid_peak_set_rejected(self, peaks):
-        with pytest.raises(InvalidPeakSet) as caught:
-            regions_of_influence(np.ones(9, dtype=complex), np.array(peaks))
-        assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
-
     def test_peaks_at_both_ends_accepted(self):
-        partition = regions_of_influence(np.ones(9, dtype=complex), np.array([0, 8]))
-        assert partition.tolist() == [[0, 0, 1], [8, 2, 8]]
+        assert regions_of(np.ones(9), [0, 8]).tolist() == [[0, 0, 1], [8, 2, 8]]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             mag = rng.random(rng.integers(9, 150))
-            peaks = detect_peaks(mag.astype(complex), 2)
+            peaks = peaks_of(mag)
             if peaks.size == 0:
                 continue
-            got = regions_of_influence(mag.astype(complex), peaks).tolist()
-            assert got == brute_force_regions(mag, list(peaks))
+            assert regions_of(mag, peaks).tolist() == brute_force_regions(mag, list(peaks))
 
     def test_partition_tiles_spectrum(self):
-        rng = np.random.default_rng(9)
-        mag = rng.random(513)
-        peaks = detect_peaks(mag.astype(complex), 2)
-        partition = regions_of_influence(mag.astype(complex), peaks)
+        mag = np.random.default_rng(9).random(513)
+        partition = regions_of(mag, peaks_of(mag))
         assert partition[0, 1] == 0 and partition[-1, 2] == 512
         assert np.all(partition[1:, 1] == partition[:-1, 2] + 1)
         assert np.all((partition[:, 0] >= partition[:, 1]) & (partition[:, 0] <= partition[:, 2]))
@@ -153,7 +136,7 @@ class TestShiftCoefficients:
     def test_ratio_one_is_identity(self):
         rng = np.random.default_rng(10)
         frame = rng.standard_normal(513) + 1j * rng.standard_normal(513)
-        partition = regions_of_influence(frame, detect_peaks(frame, 2))
+        partition = regions_of(np.abs(frame), peaks_of(np.abs(frame)))
         for variant in VARIANTS:
             np.testing.assert_array_equal(shift_one_frame(frame, partition, 1.0, variant), frame)
 
@@ -268,7 +251,7 @@ class TestPitchShift:
             PitchShiftSpec(5.0)
         with pytest.raises(ValueError):
             PitchShiftSpec(1.0, variant="rigid")
-        with pytest.raises(TypeError):  # the peak neighbourhood belongs to the analysis
+        with pytest.raises(TypeError):  # peaks always compare two neighbours
             PitchShiftSpec(1.0, neighbor_span=4)
 
 
@@ -282,8 +265,7 @@ ANALYSIS_RATIOS = (1.0, 2.0 ** (13 / 24), 2.0 ** (-13 / 24), 2.0 ** (25 / 24), 2
 
 
 ANALYSIS_SOURCES = [
-    "voiced with gap", "voiced with gap, span 4", "noise, span 4", "tone", "one frame", "silence",
-    "built: gaps", "built: none",
+    "voiced with gap", "noise", "tone", "one frame", "silence", "built: gaps", "built: none",
 ]
 
 
@@ -292,13 +274,10 @@ def analysis_from(source):
     cfg = StftConfig(frame_len=64, hop=16)
     rng = np.random.default_rng(4)
     frames = rng.random((5, cfg.n_bins)) * np.exp(2j * np.pi * rng.random((5, cfg.n_bins)))
-    partitions = [regions_of_influence(f, detect_peaks(f)) for f in frames]
+    partitions = peak_reference.partitions(frames, 2)
     return {
         "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
-        "voiced with gap, span 4": lambda: analyse_pitch(voiced_with_gap(), neighbor_span=4),
-        "noise, span 4": lambda: analyse_pitch(
-            AudioBuffer(rng.standard_normal(4800), SR), neighbor_span=4
-        ),
+        "noise": lambda: analyse_pitch(AudioBuffer(rng.standard_normal(4800), SR)),
         "tone": lambda: analyse_pitch(make_tone(440.0, seconds=0.3)),
         "one frame": lambda: analyse_pitch(make_tone(440.0, seconds=0.01)),
         "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
@@ -331,19 +310,6 @@ class TestAnalyseOnce:
         assert not analysis.inst_freq.flags.writeable
         with pytest.raises(ValueError):
             analysis.frames[0, 0] = 0.0
-
-    def test_neighbor_span_is_chosen_by_the_analysis_alone(self):
-        buf = AudioBuffer(np.random.default_rng(3).standard_normal(4800), SR)
-        spec = PitchShiftSpec(1.2)
-        wide = analyse_pitch(buf, neighbor_span=4)
-        for frame, partition in zip(wide.frames, frame_partitions(wide)):
-            peaks = detect_peaks(frame, 4)
-            assert (partition is None and peaks.size == 0) or np.array_equal(partition[:, 0], peaks)
-        assert len(wide.regions) < len(analyse_pitch(buf).regions)
-        assert len(shift_analysed(wide, spec)) == len(buf)
-        # pitch_shift analyses with the default span.
-        want = shift_analysed(analyse_pitch(buf, neighbor_span=2), spec).samples.tobytes()
-        assert pitch_shift(buf, spec).samples.tobytes() == want
 
     def test_flat_regions_describe_every_frame(self):
         analysis = analyse_pitch(voiced_with_gap())
@@ -532,6 +498,11 @@ ANALYSIS_EDITS = {
     "float length": lambda a: {"n_samples": 2.5},
     "text length": lambda a: {"n_samples": "7"},
     "bool length": lambda a: {"n_samples": True},
+    # Only istft refused these, after the whole shift had been rendered.
+    "fractional rate": lambda a: {"sample_rate": 16000.5},
+    "text rate": lambda a: {"sample_rate": "x"},
+    "bool rate": lambda a: {"sample_rate": True},
+    "zero rate": lambda a: {"sample_rate": 0},
 }
 
 
@@ -543,10 +514,8 @@ class TestErrorContract:
         [
             lambda: PitchShiftSpec(5.0),
             lambda: PitchShiftSpec(1.0, variant="rigid"),
-            lambda: detect_peaks(np.ones(8, dtype=complex), 3),
-            lambda: analyse_pitch(make_vowel(seconds=0.1), neighbor_span=3),
         ],
-        ids=["ratio", "variant", "peak span", "analysis span"],
+        ids=["ratio", "variant"],
     )
     def test_bad_arguments_are_invalid_config(self, call):
         with pytest.raises(InvalidConfig) as caught:
@@ -565,6 +534,11 @@ class TestErrorContract:
         analysis = pitch_analysis(np.ones((3, 33)), partitions, np.zeros((3, 33)), cfg)
         with pytest.raises(InvalidConfig):
             dataclasses.replace(analysis, **ANALYSIS_EDITS[edit](analysis))
+
+    def test_a_numpy_integer_rate_is_kept_as_an_int(self):
+        analysis = analyse_pitch(make_vowel(seconds=0.1))
+        analysis = dataclasses.replace(analysis, sample_rate=np.int64(SR))
+        assert type(analysis.sample_rate) is int and analysis.sample_rate == SR
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_advance_past_the_last_frame_is_invalid_config(self, variant):

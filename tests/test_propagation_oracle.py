@@ -26,15 +26,14 @@ from voicemask import (
     Spectrogram,
     StftConfig,
     analyse_pitch,
-    detect_peaks,
     istft,
-    regions_of_influence,
     shift_analysed,
 )
 from voicemask.errors import NonFiniteSignal
 from voicemask.phase_vocoder import _BLOCK_FRAMES, _match, _ranks, _translation
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
+import peak_reference
 import phase_reference
 from helpers import SR, frame_partitions, make_vowel, pitch_analysis, planned_tracks
 
@@ -46,7 +45,11 @@ RATIOS = st.one_of(st.sampled_from([0.25, 4.0, 1.0, 0.5, 2.0]), st.floats(0.25, 
 
 @st.composite
 def frame_sequences(draw):
-    """Frames of one utterance, each with its partition (None if peak-free)."""
+    """Frames of one utterance, each with its partition (None if peak-free).
+
+    The partitions are the frozen reference's, over 2 or 4 neighbours, so
+    the propagator meets sparser peak sets than analyse_pitch finds too.
+    """
     cfg = draw(st.sampled_from(CONFIGS))
     span = draw(st.sampled_from([2, 4]))
     voiced = draw(st.lists(st.booleans(), min_size=1, max_size=10))
@@ -55,9 +58,9 @@ def frame_sequences(draw):
     frames, partitions, inst_freqs = [], [], []
     for is_voiced in voiced:
         frame = rng.random(n) * np.exp(2j * np.pi * rng.random(n))
-        peaks = detect_peaks(frame, span) if is_voiced else np.empty(0, dtype=np.intp)
+        (partition,) = peak_reference.partitions([frame], span)
         frames.append(frame)
-        partitions.append(regions_of_influence(frame, peaks) if peaks.size else None)
+        partitions.append(partition if is_voiced else None)
         inst_freqs.append(rng.uniform(-np.pi, 2.0 * np.pi, n))
     return cfg, span, frames, partitions, inst_freqs
 
@@ -110,7 +113,7 @@ class TestPropagatorOracle:
         if cell == "3 frames":
             rng = np.random.default_rng(2)
             frames = [rng.random(cfg.n_bins) + 0j for _ in range(3)]
-            partition = regions_of_influence(frames[0], detect_peaks(frames[0]))
+            partition = peak_reference.partitions(frames[:1], 2)[0]
             inst_freq = np.zeros((3, cfg.n_bins))
             analysis = pitch_analysis(frames, [partition, None, None], inst_freq, cfg)
         else:
@@ -163,16 +166,15 @@ class TestPlannedPathOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         case=buffers_with_silences(),
-        span=st.sampled_from([2, 4]),
         ratio=RATIOS,
         variant=st.sampled_from(["identity-locked", "loose"]),
         measure=st.booleans(),
     )
-    def test_shift_analysed_matches_reference_bytes(self, case, span, ratio, variant, measure):
+    def test_shift_analysed_matches_reference_bytes(self, case, ratio, variant, measure):
         # With measure, the reference takes the instantaneous frequency from
         # consecutive phases itself rather than from the analysis.
         cfg, buf = case
-        analysis = analyse_pitch(buf, cfg, span)
+        analysis = analyse_pitch(buf, cfg)
         spec = PitchShiftSpec(ratio, variant)
         reference = phase_reference.ReferencePropagator(spec, cfg)
         frames = np.array([
@@ -219,10 +221,8 @@ def random_cell(cfg, n_frames, peak_free, seed):
     n = cfg.n_bins
     frames = rng.random((n_frames, n)) * np.exp(2j * np.pi * rng.random((n_frames, n)))
     partitions = [
-        None
-        if peak_free is None or t in peak_free
-        else regions_of_influence(frame, detect_peaks(frame))
-        for t, frame in enumerate(frames)
+        None if peak_free is None or t in peak_free else partition
+        for t, partition in enumerate(peak_reference.partitions(frames, 2))
     ]
     inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, (n_frames, n))
     return pitch_analysis(frames, partitions, inst_freq, cfg)
@@ -261,8 +261,7 @@ def transforms(draw):
     family = draw(st.sampled_from(("pitch",) + FAMILIES))
     if family == "pitch":
         spec = PitchShiftSpec(draw(RATIOS), draw(st.sampled_from(["identity-locked", "loose"])))
-        span = draw(st.sampled_from([2, 4]))
-        return spec, lambda buf: shift_analysed(analyse_pitch(buf, StftConfig(), span), spec)
+        return spec, lambda buf: shift_analysed(analyse_pitch(buf), spec)
     if family == "quadratic":
         alpha = draw(st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True))
     elif family == "bilinear":
@@ -373,7 +372,8 @@ class TestTrackMatch:
         shape = (len(peaks), cfg.n_bins)
         frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
         partitions = [
-            None if p is None else regions_of_influence(frame, p) for frame, p in zip(frames, peaks)
+            None if p is None else peak_reference.regions_of_influence(np.abs(frame), p)
+            for frame, p in zip(frames, peaks)
         ]
         inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, shape)
         analysis = pitch_analysis(frames, partitions, inst_freq, cfg)

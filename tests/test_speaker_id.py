@@ -178,6 +178,19 @@ class TestSpeakerModelErrors:
             model_of(np.eye(2), "s", "X")
         assert isinstance(caught.value, ValueError)
 
+    @pytest.mark.parametrize("n_frames", [-5, True, False, 2.5, "7", None])
+    def test_a_frame_count_that_is_not_a_count_is_refused(self, n_frames):
+        # save_models wrote frames=-5 or frames=True, which load_models refuses.
+        with pytest.raises(InvalidModel, match="n_frames"):
+            SpeakerModel(label="s", gender="M", C=np.eye(2), n_frames=n_frames)
+
+    @pytest.mark.parametrize("n_frames", [0, 7, np.int64(7)], ids=["0", "7", "numpy 7"])
+    def test_a_frame_count_round_trips(self, tmp_path, n_frames):
+        model = SpeakerModel(label="s", gender="M", C=np.eye(2), n_frames=n_frames)
+        save_models(tmp_path / "m.txt", [model])
+        (back,) = load_models(tmp_path / "m.txt")
+        assert back.n_frames == n_frames and np.array_equal(back.C, model.C)
+
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
     def test_empty_or_non_square_covariance(self, shape):
         with pytest.raises(DimensionMismatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -392,6 +394,17 @@ class TestWarpAnalysisChecks:
         # istft refused the first three only after the whole warp; True passed as one sample.
         with pytest.raises(InvalidConfig, match="n_samples"):
             WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, n_samples)
+
+    @pytest.mark.parametrize("rate", [16000.5, "x", True, 0, None])
+    def test_a_rate_that_is_not_a_count_is_refused(self, rate):
+        # Only istft refused these, after the whole warp had been rendered.
+        analysis = analyse_warp(make_vowel(seconds=0.1))
+        with pytest.raises(InvalidConfig, match="sample_rate"):
+            dataclasses.replace(analysis, sample_rate=rate)
+
+    def test_a_numpy_integer_rate_is_kept_as_an_int(self):
+        analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), np.int64(SR), 1024)
+        assert type(analysis.sample_rate) is int and analysis.sample_rate == SR
 
     def test_one_analysis_is_accepted(self):
         analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, 1024)
