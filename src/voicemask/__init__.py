@@ -27,7 +27,7 @@ _EXPORTS = {
         "shift_analysed",
     ),
     "signal_core": (
-        "AudioBuffer", "Spectrogram", "StftConfig", "istft", "read_wav", "stft", "write_wav",
+        "AudioBuffer", "istft", "read_wav", "stft", "write_wav",
     ),
     "speaker_id": (
         "SpeakerModel", "classify_gender", "covariance_model", "extract_cepstra",

@@ -124,6 +124,14 @@ def load_manifest(path) -> CorpusManifest:
 
 # --- degree schedules ----------------------------------------------------------
 
+
+def _checked_degree(degree) -> int:
+    """degree as an int; InvalidConfig unless it is an integer in 0..MAX_DEGREE (a bool is not)."""
+    if not (signal_core._is_integer(degree) and 0 <= degree <= MAX_DEGREE):
+        raise InvalidConfig(f"degree must be an integer in 0..{MAX_DEGREE}, got {degree!r}")
+    return int(degree)
+
+
 _QUADRATIC_STEP = {"F": 0.057, "M": -0.029}
 _BILINEAR_STEP = {"F": 0.0065, "M": -0.0043}
 
@@ -149,8 +157,7 @@ class DegreeSchedule:
         return "pitch" if self.algorithm in PITCH_ALGORITHMS else "warp"
 
     def parameter(self, degree: int, gender: str | None = None) -> float:
-        if not (signal_core._is_integer(degree) and 0 <= degree <= MAX_DEGREE):
-            raise InvalidConfig(f"degree must be an integer in 0..{MAX_DEGREE}, got {degree!r}")
+        degree = _checked_degree(degree)
         if self.algorithm == "voc":
             return 2.0 ** (degree / 24.0)
         if self.algorithm == "vocf":
@@ -428,8 +435,15 @@ def synth_corpus(seed: int, n_speakers: int, utterances_per_speaker: int, out_di
     The calling thread draws every random number, from one stream, and
     writes every file, in manifest order. A pool of one thread per usable
     CPU renders the drawn utterances, with at most two per worker drawn and
-    not yet written. The bytes do not depend on the CPU count.
+    not yet written. The bytes do not depend on the CPU count. A seed or
+    count that is not an integer (a bool is not) is InvalidConfig, raised
+    before the directory is made.
     """
+    sizes = {"seed": seed, "n_speakers": n_speakers,
+             "utterances_per_speaker": utterances_per_speaker}
+    for name, value in sizes.items():
+        if not signal_core._is_integer(value):
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if seed < 0:  # numpy's seeding refuses it with a plain ValueError
         raise InvalidConfig(f"seed must be non-negative, got {seed}")
     if n_speakers % 2 != 0:

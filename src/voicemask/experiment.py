@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
@@ -26,6 +25,7 @@ from .corpus import (
     CorpusManifest,
     DegreeSchedule,
     ManifestEntry,
+    _checked_degree,
     _read_csv,
     load_manifest,
     synth_corpus,
@@ -247,20 +247,17 @@ def run_degree_sweep(
     model, or whose speaker is not enrolled, is left out of every cell; a
     per-cell transform or modeling failure is excluded from that cell's
     n_files. The aggregation is order-independent. Algorithms that
-    _sweep_algorithms refuses, no degree, a repeated degree, one that is not
-    an integer or one outside 0..MAX_DEGREE raise InvalidConfig before any
-    audio is read.
+    _sweep_algorithms refuses, degrees that are not a collection, no degree,
+    a repeated degree, or one that DegreeSchedule.parameter refuses raise
+    InvalidConfig before any audio is read.
     """
     schedules = [DegreeSchedule(algo) for algo in _sweep_algorithms(algorithms)]
     try:
-        degrees = tuple(map(operator.index, degrees))
-    except TypeError as exc:
-        raise InvalidConfig(f"degrees must be integers: {exc}") from None
+        degrees = tuple(map(_checked_degree, degrees))
+    except TypeError:
+        raise InvalidConfig(f"degrees must be a collection of degrees, got {degrees!r}") from None
     if not degrees or len(set(degrees)) < len(degrees):
         raise InvalidConfig(f"a sweep needs one or more distinct degrees, got {degrees}")
-    for degree in degrees:
-        if not 0 <= degree <= MAX_DEGREE:
-            raise InvalidConfig(f"degree must be in 0..{MAX_DEGREE}, got {degree}")
     models = enroll(corpus)
     counts: dict[tuple[str, str, int], list[int]] = {}
     for entry in corpus.test_entries():

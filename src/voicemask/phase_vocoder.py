@@ -19,14 +19,15 @@ the frame stack. ``_plan`` plans all frames of a shift at once; a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidConfig
 from .signal_core import (
+    HOP,
+    N_BINS,
     AudioBuffer,
-    Spectrogram,
-    StftConfig,
     _check_length,
     _checked_rate,
     bin_frequencies,
@@ -57,11 +58,13 @@ class PitchShiftSpec:
     variant: str = "identity-locked"
 
     def __post_init__(self):
-        if not 0.25 <= self.ratio <= 4.0:
-            raise InvalidConfig(f"ratio must be in [0.25, 4.0], got {self.ratio}")
+        # A bool is not a ratio; NaN fails the range.
+        ratio = self.ratio
+        if isinstance(ratio, bool) or not (isinstance(ratio, Real) and 0.25 <= ratio <= 4.0):
+            raise InvalidConfig(f"ratio must be a real number in [0.25, 4.0], got {ratio!r}")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        object.__setattr__(self, "ratio", float(self.ratio))
+        object.__setattr__(self, "ratio", float(ratio))
 
 
 def _peak_mask(mag: np.ndarray) -> np.ndarray:
@@ -143,8 +146,8 @@ def _translation(ratio: float, n: int) -> tuple[np.ndarray, int, int]:
 # Far-off sentinels bound the tracks, so a nearest-track search never runs
 # off either end; a sentinel is never within tolerance.
 _FAR = 1 << 60
-# Frames rendered at once: a block's complex values (32 x 513 x 16 bytes for
-# the default frame) stay in cache; larger blocks spill it and run slower.
+# Frames rendered at once: a block's complex values (32 x 513 x 16 bytes)
+# stay in cache; larger blocks spill it and run slower.
 _BLOCK_FRAMES = 32
 
 
@@ -194,13 +197,13 @@ def _plan(spec: PitchShiftSpec, analysis: PitchAnalysis):
     first, one gather and add per frame. A new track (source -1) reads the
     trailing 0.0 and adds 0.0, so it starts from the analysis phase.
     """
-    shift_of, offset, size = _translation(spec.ratio, analysis.config.n_bins)
+    shift_of, offset, size = _translation(spec.ratio, N_BINS)
     peaks = analysis.regions[:, 0]
     shifts = shift_of[peaks]
     if spec.variant == "loose":
         return None, shifts, offset, size
     sources = _match(analysis.peak_frame, peaks + shifts, size)
-    increments = analysis.config.hop * (spec.ratio - 1.0) * analysis.peak_freq
+    increments = HOP * (spec.ratio - 1.0) * analysis.peak_freq
     increments[sources < 0] = 0.0
     angles = np.zeros(sources.size + 1)
     bounds = analysis.offsets.tolist()
@@ -251,9 +254,9 @@ def _render_blocks(spec, analysis, angles, shifts, offset, size):
     operands of arrays above 256 KiB (README).
     """
     a, locked = analysis, spec.variant == "identity-locked"
-    n, n_frames = a.config.n_bins, len(a.frames)
+    n, n_frames = N_BINS, len(a.frames)
     slots = np.arange(n) + offset
-    bin_step = a.config.hop * spec.ratio
+    bin_step = HOP * spec.ratio
     free_advance = bin_step * bin_frequencies(n)
     rotations = np.exp(1j * angles) if locked else None  # one per peak
     carried = None  # synthesis phases of the last frame of the last block
@@ -345,7 +348,6 @@ class PitchAnalysis:
     inst_freq: np.ndarray
     regions: np.ndarray
     offsets: np.ndarray
-    config: StftConfig
     sample_rate: int
     n_samples: int
     peak_frame: np.ndarray = field(init=False, repr=False, compare=False)
@@ -353,7 +355,7 @@ class PitchAnalysis:
     bin_region: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frames, regions, offsets, n = self.frames, self.regions, self.offsets, self.config.n_bins
+        frames, regions, offsets, n = self.frames, self.regions, self.offsets, N_BINS
         if not (
             frames.shape == self.inst_freq.shape == (offsets.size - 1, n) and offsets.size > 1
             and offsets.shape == (offsets.size,) and regions.shape[1:] == (3,)
@@ -408,9 +410,9 @@ def _instantaneous_frequency(phase: np.ndarray, hop: int) -> np.ndarray:
     return inst_freq
 
 
-def analyse_pitch(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> PitchAnalysis:
+def analyse_pitch(buf: AudioBuffer) -> PitchAnalysis:
     """Analyse a buffer once for pitch shifting at any ratio; a peak exceeds both neighbours."""
-    frames = stft(buf, cfg).frames
+    frames = stft(buf)
     # The magnitudes and phases share one allocation the size of the frames.
     # Freed together, it is a block the shift's output frames fit in; as two
     # arrays it left them to fault in fresh memory, about 5,700 more minor
@@ -421,8 +423,8 @@ def analyse_pitch(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> PitchAnal
     regions = _partition(mag, is_peak)
     offsets = np.concatenate(([0], np.cumsum(is_peak.sum(axis=1))))
     np.arctan2(frames.imag, frames.real, out=phase)  # np.angle(frames)
-    inst_freq = _instantaneous_frequency(phase, cfg.hop)
-    return PitchAnalysis(frames, inst_freq, regions, offsets, cfg, buf.sample_rate, len(buf))
+    inst_freq = _instantaneous_frequency(phase, HOP)
+    return PitchAnalysis(frames, inst_freq, regions, offsets, buf.sample_rate, len(buf))
 
 
 def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer:
@@ -435,10 +437,9 @@ def shift_analysed(analysis: PitchAnalysis, spec: PitchShiftSpec) -> AudioBuffer
     for t in range(len(out_frames)):
         out_frames[t] = prop.advance()
     del prop  # its plan and last block are not needed to resynthesize
-    spectrogram = Spectrogram(out_frames, analysis.config, analysis.sample_rate)
-    return istft(spectrogram, analysis.n_samples)
+    return istft(out_frames, analysis.sample_rate, analysis.n_samples)
 
 
-def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
+def pitch_shift(buf: AudioBuffer, spec: PitchShiftSpec) -> AudioBuffer:
     """Shift the pitch of a buffer by spec.ratio; duration is preserved."""
-    return shift_analysed(analyse_pitch(buf, cfg), spec)
+    return shift_analysed(analyse_pitch(buf), spec)

@@ -27,9 +27,10 @@ from .errors import (
 )
 
 __all__ = [
+    "FRAME_LEN",
+    "HOP",
+    "N_BINS",
     "AudioBuffer",
-    "StftConfig",
-    "Spectrogram",
     "bin_frequencies",
     "read_text",
     "read_wav",
@@ -76,6 +77,13 @@ class AudioBuffer:
         return self.samples.size
 
 
+# The analysis geometry of every transform: Hann frames of FRAME_LEN samples
+# every HOP samples, each N_BINS bins of half spectrum.
+FRAME_LEN = 1024
+HOP = 256
+N_BINS = FRAME_LEN // 2 + 1
+
+
 @functools.lru_cache(maxsize=8)
 def _window_samples(n: int) -> np.ndarray:
     """The periodic Hann window of n samples, built once and read-only.
@@ -85,56 +93,6 @@ def _window_samples(n: int) -> np.ndarray:
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     w.setflags(write=False)
     return w
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    """Frame length (power of two) and hop; the analysis window is Hann."""
-
-    frame_len: int = 1024
-    hop: int = 256
-
-    def __post_init__(self):
-        if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
-            raise InvalidConfig(f"frame_len must be a power of two, got {self.frame_len}")
-        if not 0 < self.hop <= self.frame_len:
-            raise InvalidConfig(f"hop must satisfy 0 < hop <= frame_len, got {self.hop}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frame_len // 2 + 1
-
-    def window_samples(self) -> np.ndarray:
-        """The analysis window: one shared read-only array per frame_len."""
-        return _window_samples(self.frame_len)
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Time-ordered spectral frames: complex array of shape (n_frames, n_bins), n_frames >= 1."""
-
-    frames: np.ndarray
-    config: StftConfig
-    sample_rate: int
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.complex128)
-        if frames.ndim != 2 or not frames.shape[0]:
-            raise InvalidConfig("frames must be a 2-D array of one or more frames")
-        if frames.shape[1] != self.config.n_bins:
-            raise InvalidConfig(
-                f"frames have {frames.shape[1]} bins, config implies {self.config.n_bins}"
-            )
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[1]
 
 
 def _is_integer(value) -> bool:
@@ -342,94 +300,93 @@ def write_wav(path, buf: AudioBuffer) -> None:
 # --- STFT / inverse STFT ---------------------------------------------------
 
 
-def stft(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> Spectrogram:
-    """Analyze a buffer into windowed half-spectrum frames.
+def stft(buf: AudioBuffer) -> np.ndarray:
+    """Analyze a buffer into windowed half-spectrum frames, a complex (n_frames, N_BINS) array.
 
-    Frame t covers samples [t*hop, t*hop + frame_len); a buffer shorter than
+    Frame t covers samples [t*HOP, t*HOP + FRAME_LEN); a buffer shorter than
     one frame is zero-padded to a single frame. Samples above
-    max_float / (4 * frame_len**2), about 4e301 for 1024-sample frames, raise
-    NonFiniteSignal: their spectrum, or a transform's inverse of it, would
-    overflow.
+    max_float / (4 * FRAME_LEN**2), about 4e301, raise NonFiniteSignal:
+    their spectrum, or a transform's inverse of it, would overflow.
     """
     x = buf.samples
-    n, hop = cfg.frame_len, cfg.hop
-    # A bin sums n samples and the inverse FFT of a modified frame up to all
-    # its bins, so sums stay below n**2 times the largest sample; the 4
-    # leaves room for magnitudes and complex products.
+    # A bin sums FRAME_LEN samples and the inverse FFT of a modified frame up
+    # to all its bins, so sums stay below FRAME_LEN**2 times the largest
+    # sample; the 4 leaves room for magnitudes and complex products.
     peak = max(x.max(), -x.min()) if x.size else 0.0
-    if peak > np.finfo(np.float64).max / (4.0 * n * n):
-        raise NonFiniteSignal(f"samples up to {peak:.3g} would overflow a {n}-sample transform")
-    if x.size < n:
-        x = np.concatenate([x, np.zeros(n - x.size)])
-    frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop] * cfg.window_samples()
-    return Spectrogram(np.fft.rfft(frames, axis=1), cfg, buf.sample_rate)
+    if peak > np.finfo(np.float64).max / (4.0 * FRAME_LEN * FRAME_LEN):
+        raise NonFiniteSignal(
+            f"samples up to {peak:.3g} would overflow a {FRAME_LEN}-sample transform"
+        )
+    if x.size < FRAME_LEN:
+        x = np.concatenate([x, np.zeros(FRAME_LEN - x.size)])
+    frames = np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP]
+    return np.fft.rfft(frames * _window_samples(FRAME_LEN), axis=1)
 
 
-# Frames inverse-transformed at once. A block's stack (64 x 1024 x 8 bytes
-# for the default frame) is small enough for the allocator to reuse its
-# memory; a whole-cell stack was unmapped after every cell and faulted back
-# in for the next one.
+# Frames inverse-transformed at once. A block's stack (64 x 1024 x 8 bytes)
+# is small enough for the allocator to reuse its memory; a whole-cell stack
+# was unmapped after every cell and faulted back in for the next one.
 _BLOCK_FRAMES = 64
+# Hop-wide pieces of a frame: piece k of frame t lands in output row t + k.
+_PIECES = FRAME_LEN // HOP
 
 
 @functools.lru_cache(maxsize=2)
-def _overlap_plan(cfg: StftConfig, n_frames: int):
-    """What istft of n_frames frames needs besides the frames: (pieces, divisor).
+def _overlap_divisor(n_frames: int) -> np.ndarray:
+    """istft's divisor for n_frames frames: the window sum floored at 1% of its peak.
 
-    A piece is (k, the frame columns of hop-wide block k, their width), k
-    downwards. The divisor is the window sum floored at 1% of its peak,
-    read-only. Every cell of one file has its frame count, so a sweep
+    Read-only. Every cell of one file has its frame count, so a sweep
     builds this once per file; the last two are kept.
     """
-    pieces = []
-    for k in reversed(range(-(-cfg.frame_len // cfg.hop))):
-        cols = slice(k * cfg.hop, min((k + 1) * cfg.hop, cfg.frame_len))
-        pieces.append((k, cols, cols.stop - cols.start))
-    norm = np.zeros((n_frames + len(pieces) - 1, cfg.hop))
-    w = cfg.window_samples()
-    w_sq = w * w
-    for k, cols, width in pieces:
-        norm[k : k + n_frames, :width] += w_sq[cols]
+    w = _window_samples(FRAME_LEN)
+    w_sq = (w * w).reshape(_PIECES, HOP)
+    norm = np.zeros((n_frames + _PIECES - 1, HOP))
+    for k in reversed(range(_PIECES)):
+        norm[k : k + n_frames] += w_sq[k]
     # The floor keeps division exact wherever the window sum is well
     # conditioned and stops modified (non-COLA) frame content from being
     # amplified at the outermost samples.
-    norm = norm.reshape(-1)[: (n_frames - 1) * cfg.hop + cfg.frame_len]
+    norm = norm.reshape(-1)
     np.maximum(norm, 1e-2 * norm.max(), out=norm)
     norm.setflags(write=False)
-    return tuple(pieces), norm
+    return norm
 
 
-def istft(spec: Spectrogram, n_samples: int | None = None) -> AudioBuffer:
+def istft(frames: np.ndarray, sample_rate: int, n_samples: int) -> AudioBuffer:
     """Weighted overlap-add resynthesis with window-sum normalization.
 
-    The natural output length is (n_frames - 1) * hop + frame_len;
-    ``n_samples``, when given, trims it or pads it with zeros. Reconstruction
-    is reliable on the interior, away from frame_len samples at each edge.
-    Frames are inverse-transformed and windowed _BLOCK_FRAMES at a time, and
-    each block is overlap-added before the next is transformed. An
-    ``n_samples`` other than None that _check_length refuses is InvalidConfig.
+    ``frames`` is a complex (n_frames, N_BINS) array with n_frames >= 1. The
+    natural output length, (n_frames - 1) * HOP + FRAME_LEN, is trimmed or
+    zero-padded to ``n_samples``. Reconstruction is reliable on the
+    interior, away from FRAME_LEN samples at each edge. Frames are
+    inverse-transformed and windowed _BLOCK_FRAMES at a time, and each block
+    is overlap-added before the next is transformed. Frames of another
+    shape, or a sample_rate or n_samples that is not a count, are
+    InvalidConfig.
     """
-    cfg = spec.config
-    w = cfg.window_samples()
-    n_frames, hop = spec.n_frames, cfg.hop
-    out_len = (n_frames - 1) * hop + cfg.frame_len
-    if n_samples is None:
-        n_samples = out_len
+    frames = np.asarray(frames, dtype=np.complex128)
+    if frames.ndim != 2 or not frames.shape[0]:
+        raise InvalidConfig("frames must be a 2-D array of one or more frames")
+    if frames.shape[1] != N_BINS:
+        raise InvalidConfig(f"frames have {frames.shape[1]} bins, not {N_BINS}")
+    _checked_rate(sample_rate)
     _check_length(n_samples)
-    # Overlap-add in hop-wide blocks: block k of frame t lands in row t + k.
-    # Frame blocks run in order and k runs downwards within each, so every
-    # sample adds its frames in ascending order.
-    pieces, divisor = _overlap_plan(cfg, n_frames)
-    n_rows = n_frames + len(pieces) - 1
+    w = _window_samples(FRAME_LEN)
+    n_frames = len(frames)
+    out_len = (n_frames - 1) * HOP + FRAME_LEN
+    divisor = _overlap_divisor(n_frames)
     # No frame reaches past out_len, so the flat buffer is the output with
     # its zero tail already in place.
-    flat = np.zeros(max(n_rows * hop, n_samples))
-    acc = flat[: n_rows * hop].reshape(n_rows, hop)
+    flat = np.zeros(max(out_len, n_samples))
+    acc = flat[:out_len].reshape(-1, HOP)
+    # Frame blocks run in order and k runs downwards within each, so every
+    # sample adds its frames in ascending order.
     for start in range(0, n_frames, _BLOCK_FRAMES):
-        frames = np.fft.irfft(spec.frames[start : start + _BLOCK_FRAMES], n=cfg.frame_len, axis=1)
-        frames *= w  # in place: no second stack at the memory peak
-        for k, cols, width in pieces:
-            acc[start + k : start + k + len(frames), :width] += frames[:, cols]
+        block = np.fft.irfft(frames[start : start + _BLOCK_FRAMES], n=FRAME_LEN, axis=1)
+        block *= w  # in place: no second stack at the memory peak
+        pieces = block.reshape(len(block), _PIECES, HOP)
+        for k in reversed(range(_PIECES)):
+            acc[start + k : start + k + len(block)] += pieces[:, k]
     kept = min(out_len, n_samples)
     flat[:kept] /= divisor[:kept]
-    return AudioBuffer._adopt(flat[:n_samples], spec.sample_rate)
+    return AudioBuffer._adopt(flat[:n_samples], sample_rate)

@@ -12,14 +12,14 @@ resamples and resynthesizes them for any warp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidAlpha, InvalidConfig, NotInvertible
 from .signal_core import (
+    N_BINS,
     AudioBuffer,
-    Spectrogram,
-    StftConfig,
     _check_length,
     _checked_rate,
     _split_rows,
@@ -55,6 +55,8 @@ class WarpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidAlpha(f"unknown warp family {self.family!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise InvalidAlpha(f"alpha must be a real number, got {self.alpha!r}")
         a = float(self.alpha)
         if not np.isfinite(a):
             raise InvalidAlpha(f"alpha must be finite, got {a}")
@@ -72,7 +74,8 @@ class WarpSpec:
 
 
 def _check_range(omega: np.ndarray, name: str) -> None:
-    if omega.size and (omega.min() < -1e-12 or omega.max() > np.pi + 1e-12):
+    # Written so that a NaN, which every comparison fails, is refused.
+    if omega.size and not (omega.min() >= -1e-12 and omega.max() <= np.pi + 1e-12):
         raise InvalidConfig(f"{name} must lie in [0, pi]")
 
 
@@ -146,18 +149,18 @@ def invert_warp(spec: WarpSpec, omega_out):
     return float(w) if np.isscalar(omega_out) else w
 
 
-def _source_positions(spec: WarpSpec, n_bins: int) -> np.ndarray:
+def _source_positions(spec: WarpSpec) -> np.ndarray:
     """Fractional input-bin position feeding each output bin.
 
     Where the warp is flat at pi (asymmetric, alpha >= 8/7), the top bin
     reads pi / alpha, the lowest preimage of pi.
     """
-    omega = bin_frequencies(n_bins)
+    omega = bin_frequencies(N_BINS)
     if spec.family == "asymmetric" and spec.alpha * _BREAK >= np.pi:
         src = np.append(invert_warp(spec, omega[:-1]), np.pi / spec.alpha)
     else:
         src = invert_warp(spec, omega)
-    return (src / np.pi) * (n_bins - 1)
+    return (src / np.pi) * (N_BINS - 1)
 
 
 def _resample_frames(mag: np.ndarray, phase: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -208,12 +211,11 @@ class WarpAnalysis:
 
     magnitude: np.ndarray
     phase: np.ndarray
-    config: StftConfig
     sample_rate: int
     n_samples: int
 
     def __post_init__(self):
-        mag, phase, n = self.magnitude, self.phase, self.config.n_bins
+        mag, phase, n = self.magnitude, self.phase, N_BINS
         if not (
             mag.shape == phase.shape and mag.ndim == 2 and mag.shape[0] > 0
             and mag.shape[1] == n and mag.dtype.kind == phase.dtype.kind == "f"
@@ -250,24 +252,23 @@ def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
     return phase
 
 
-def analyse_warp(buf: AudioBuffer, cfg: StftConfig = StftConfig()) -> WarpAnalysis:
+def analyse_warp(buf: AudioBuffer) -> WarpAnalysis:
     """Analyse a buffer once for warping with any family and alpha."""
-    frames = stft(buf, cfg).frames
+    frames = stft(buf)
     phase = _unwrap_rows(np.angle(frames))
-    return WarpAnalysis(np.abs(frames), phase, cfg, buf.sample_rate, len(buf))
+    return WarpAnalysis(np.abs(frames), phase, buf.sample_rate, len(buf))
 
 
 def warp_analysed(analysis: WarpAnalysis, spec: WarpSpec) -> AudioBuffer:
     """Warp every frame of an analysed buffer and resynthesize at its length."""
-    pos = _source_positions(spec, analysis.config.n_bins)
+    pos = _source_positions(spec)
     warped = _resample_frames(analysis.magnitude, analysis.phase, pos)
-    spectrogram = Spectrogram(warped, analysis.config, analysis.sample_rate)
-    return istft(spectrogram, analysis.n_samples)
+    return istft(warped, analysis.sample_rate, analysis.n_samples)
 
 
-def vtln_transform(buf: AudioBuffer, spec: WarpSpec, cfg: StftConfig = StftConfig()) -> AudioBuffer:
+def vtln_transform(buf: AudioBuffer, spec: WarpSpec) -> AudioBuffer:
     """Warp every frame of the buffer's spectrogram and resynthesize.
 
     Output sample count and rate equal the input's.
     """
-    return warp_analysed(analyse_warp(buf, cfg), spec)
+    return warp_analysed(analyse_warp(buf), spec)

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 
-from voicemask import AudioBuffer, PitchAnalysis, StftConfig, stft
+from voicemask import AudioBuffer, PitchAnalysis, stft
 from voicemask.phase_vocoder import _plan
+from voicemask.signal_core import FRAME_LEN, HOP
 
 SR = 16000
 
@@ -28,14 +29,14 @@ def make_vowel(f0=120.0, seconds=3.0, sr=SR, amp=0.3):
     return AudioBuffer(amp * x / np.max(np.abs(x)), sr)
 
 
-def pitch_analysis(frames, partitions, inst_freq, cfg):
+def pitch_analysis(frames, partitions, inst_freq):
     """A PitchAnalysis of given frames, partitions (None where peak-free) and inst_freq rows."""
     frames = np.array(frames, dtype=np.complex128)
     inst_freq = np.array(inst_freq, dtype=np.float64)
     regions = np.concatenate([p for p in partitions if p is not None] + [np.empty((0, 3), np.intp)])
     offsets = np.cumsum([0] + [0 if p is None else len(p) for p in partitions])
-    n_samples = (len(frames) - 1) * cfg.hop + cfg.frame_len
-    return PitchAnalysis(frames, inst_freq, regions, offsets, cfg, SR, n_samples)
+    n_samples = (len(frames) - 1) * HOP + FRAME_LEN
+    return PitchAnalysis(frames, inst_freq, regions, offsets, SR, n_samples)
 
 
 def frame_partitions(analysis):
@@ -101,9 +102,8 @@ def band_log_distortion(reference, produced, sr=SR, n_bands=30, fmin=100.0, fmax
     """
 
     def band_powers(samples):
-        sg = stft(AudioBuffer(samples, sr), StftConfig())
-        power = np.mean(np.abs(sg.frames) ** 2, axis=0)
-        freqs = np.arange(sg.n_bins) * sr / sg.config.frame_len
+        power = np.mean(np.abs(stft(AudioBuffer(samples, sr))) ** 2, axis=0)
+        freqs = np.arange(power.size) * sr / FRAME_LEN
         edges = np.geomspace(fmin, fmax, n_bands + 1)
         return np.array(
             [power[(freqs >= lo) & (freqs < hi)].mean() for lo, hi in zip(edges, edges[1:])]

@@ -20,7 +20,6 @@ from voicemask import (
     AudioBuffer,
     PitchShiftSpec,
     SpeakerModel,
-    StftConfig,
     SweepResult,
     SweepRow,
     WarpSpec,
@@ -201,7 +200,7 @@ class TestCriterion4SignalRoundTrip:
         rng = np.random.default_rng(99)
         for trial in range(10):
             x = rng.standard_normal(3 * SR) * rng.uniform(0.05, 0.5)
-            back = istft(stft(AudioBuffer(x, SR)))
+            back = istft(stft(AudioBuffer(x, SR)), SR, len(x))
             snr = interior_snr_db(x, back.samples)
             if snr < 60.0:
                 failures.append(f"trial {trial}: SNR {snr:.1f} dB")

@@ -211,6 +211,22 @@ class TestSynthCorpus:
             synth_corpus(-1, 2, 2, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "sizes,name",
+        [
+            ((1.5, 2, 2), "seed"),
+            ((True, 2, 2), "seed"),
+            ((1, 2.0, 2), "n_speakers"),
+            ((1, 2, 2.5), "utterances_per_speaker"),
+        ],
+    )
+    def test_sizes_that_are_not_integers_are_invalid_config(self, tmp_path, sizes, name):
+        # A float once raised a bare TypeError after the directory was made,
+        # and True was taken as seed 1.
+        with pytest.raises(InvalidConfig, match=f"^{name} must be an integer, got "):
+            synth_corpus(*sizes, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         manifest = synth_corpus(5, 2, 2, tmp_path)
         loaded = load_manifest(tmp_path / "manifest.csv")
@@ -454,9 +470,9 @@ class TestSweepContract:
         events = []
 
         for name, module in (("phase_vocoder", phase_vocoder), ("vtln", vtln)):
-            def counted(buf, cfg, _stft=module.stft, _name=name):
+            def counted(buf, _stft=module.stft, _name=name):
                 stft_calls[_name] += 1
-                return _stft(buf, cfg)
+                return _stft(buf)
 
             monkeypatch.setattr(module, "stft", counted)
 
@@ -739,9 +755,12 @@ class TestErrorContract:
             (5, (0,), "collection of names, got 5$"),
             ("voc", (0,), "collection of names, got 'voc'$"),
             (("voc", ["x"]), (0,), r"unknown algorithm \['x'\]"),
-            # A degree that is not an integer: 2.7 was swept as degree 2.
-            (("voc",), ("x",), "degrees must be integers"),
-            (("voc",), (2.7,), "degrees must be integers"),
+            # A degree that is not an integer: 2.7 was swept as degree 2, and
+            # True as degree 1, which DegreeSchedule.parameter refuses.
+            (("voc",), ("x",), r"degree must be an integer in 0\.\.25, got 'x'$"),
+            (("voc",), (2.7,), r"degree must be an integer in 0\.\.25, got 2\.7$"),
+            (("voc",), (True, 2), r"degree must be an integer in 0\.\.25, got True$"),
+            (("voc",), 5, "degrees must be a collection of degrees, got 5$"),
         ],
     )
     def test_sweep_refuses_bad_algorithms_or_degrees_before_reading_audio(
@@ -751,6 +770,11 @@ class TestErrorContract:
             with pytest.raises(InvalidConfig, match=match):
                 run_degree_sweep(unread_manifest, algorithms=algorithms, degrees=degrees)
         assert caplog.records == []
+
+    def test_sweep_takes_a_numpy_integer_degree(self, tmp_path):
+        manifest = synth_corpus(11, 2, 2, tmp_path)
+        result = run_degree_sweep(manifest, algorithms=("voc",), degrees=(np.int64(3),))
+        assert [(row.degree, type(row.degree)) for row in result.rows] == [(3, int), (3, int)]
 
     @pytest.mark.parametrize("degree", [-1, 26])
     def test_sweep_checks_degrees_before_any_cell(self, tmp_path, caplog, degree):

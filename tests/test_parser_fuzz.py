@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from voicemask import (
     ALGORITHMS,
     PitchShiftSpec,
-    StftConfig,
     SweepResult,
     SweepRow,
     aggregate_mos,
@@ -27,6 +26,7 @@ from voicemask import (
 )
 from voicemask.errors import InvalidConfig, IoFailure, ParseError, VoicemaskError
 from voicemask.phase_vocoder import VARIANTS
+from voicemask.signal_core import N_BINS
 
 import peak_reference
 from helpers import pitch_analysis
@@ -220,20 +220,21 @@ class TestSweepValues:
             report_only_fails_as_voicemask_error(result, tmp_path_factory.getbasetemp() / "rows")
 
 
-_33_BINS = StftConfig(frame_len=64, hop=16)
-_ANY_INDEX_VALUE = st.one_of(st.integers(-2, 35), st.integers(-(2**63), 2**63 - 1))
+_ANY_INDEX_VALUE = st.one_of(
+    st.integers(-2, 35), st.integers(N_BINS - 3, N_BINS + 2), st.integers(-(2**63), 2**63 - 1)
+)
 
 
 @st.composite
 def perturbed_analyses(draw):
-    """Real partitions of random 33-bin frames, then one region entry or one offset set.
+    """Real partitions of random frames, then one region entry or one offset set.
 
     Returns (frames, partitions, inst_freq, offset_edit); offset_edit is
     (index, value), or None when a (peak, lo, hi) entry was set instead.
     """
     voiced = draw(st.lists(st.booleans(), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (len(voiced), _33_BINS.n_bins)
+    shape = (len(voiced), N_BINS)
     frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
     partitions = [
         partition if is_voiced else None
@@ -252,13 +253,13 @@ def perturbed_analyses(draw):
 class TestPitchAnalysisValues:
     @settings(max_examples=300, deadline=None)
     @given(case=perturbed_analyses(), ratio=st.sampled_from([0.25, 0.8, 1.2, 4.0]))
-    # Regions that leave bins 21..32 of a voiced frame uncovered once failed in
-    # shift_analysed with numpy's broadcast ValueError.
+    # Regions that leave bins 21..512 of a voiced frame uncovered once failed
+    # in shift_analysed with numpy's broadcast ValueError.
     @example(
         case=(
-            np.ones((3, 33), dtype=complex),
+            np.ones((3, N_BINS), dtype=complex),
             [np.array([[5, 0, 10], [20, 11, 20]]), None, None],
-            np.zeros((3, 33)),
+            np.zeros((3, N_BINS)),
             None,
         ),
         ratio=1.2,
@@ -268,7 +269,7 @@ class TestPitchAnalysisValues:
         # variants failing only as VoicemaskError.
         frames, partitions, inst_freq, offset_edit = case
         try:
-            analysis = pitch_analysis(frames, partitions, inst_freq, _33_BINS)
+            analysis = pitch_analysis(frames, partitions, inst_freq)
             if offset_edit is not None:
                 offsets = analysis.offsets.copy()
                 offsets[offset_edit[0]] = offset_edit[1]

@@ -7,7 +7,6 @@ from voicemask import (
     AudioBuffer,
     PhasePropagator,
     PitchShiftSpec,
-    StftConfig,
     analyse_pitch,
     analyse_warp,
     pitch_shift,
@@ -18,6 +17,7 @@ from voicemask import (
 )
 from voicemask.errors import InvalidConfig, VoicemaskError
 from voicemask.phase_vocoder import VARIANTS, _instantaneous_frequency, _partition, _peak_mask
+from voicemask.signal_core import FRAME_LEN, HOP, N_BINS
 
 import peak_reference
 import phase_reference
@@ -124,9 +124,7 @@ class TestRegionsOfInfluence:
 
 def shift_one_frame(frame, partition, ratio, variant):
     """Frame 0 of a one-frame analysis through PhasePropagator: its regions shifted, unrotated."""
-    n = 2 * (len(frame) - 1)
-    cfg = StftConfig(frame_len=n, hop=n // 4)
-    analysis = pitch_analysis([frame], [partition], np.zeros((1, len(frame))), cfg)
+    analysis = pitch_analysis([frame], [partition], np.zeros((1, len(frame))))
     return PhasePropagator(PitchShiftSpec(ratio, variant), analysis).advance()
 
 
@@ -158,8 +156,8 @@ class TestShiftCoefficients:
             assert np.all(out[200:] == 1)
 
     def test_collisions_sum(self):
-        frame = np.ones(65, dtype=complex)
-        partition = np.array([[20, 0, 31], [40, 32, 64]])  # shifts -10 and -20 at ratio 0.5
+        frame = np.ones(513, dtype=complex)
+        partition = np.array([[20, 0, 31], [40, 32, 512]])  # shifts -10 and -20 at ratio 0.5
         for variant in VARIANTS:
             out = shift_one_frame(frame, partition, 0.5, variant)
             assert out[12] == 2.0  # bins 22 and 32 both land on 12
@@ -186,17 +184,16 @@ class TestPhasePropagation:
                 )
 
     def test_rotation_increment_for_bin_exact_sine(self):
-        # Steady-state rotation per frame must be hop * (ratio - 1) * omega_c.
-        cfg = StftConfig()
+        # Steady-state rotation per frame must be HOP * (ratio - 1) * omega_c.
         k = 40
-        omega_c = 2.0 * np.pi * k / cfg.frame_len
+        omega_c = 2.0 * np.pi * k / FRAME_LEN
         ratio = 1.5
-        analysis = analyse_pitch(make_tone(k * SR / cfg.frame_len, seconds=0.5), cfg)
+        analysis = analyse_pitch(make_tone(k * SR / FRAME_LEN, seconds=0.5))
         assert all(p is not None for p in frame_partitions(analysis))
         dest = k + int(np.floor((ratio - 1.0) * k + 0.5))
         angles = [tracks[dest] for tracks in planned_tracks(analysis, PitchShiftSpec(ratio))]
         increments = np.diff(angles[1:])  # first frame seeds the track at zero
-        expected = cfg.hop * (ratio - 1.0) * omega_c
+        expected = HOP * (ratio - 1.0) * omega_c
         np.testing.assert_allclose(increments, expected, atol=1e-6)
 
 
@@ -270,10 +267,9 @@ ANALYSIS_SOURCES = [
 
 
 def analysis_from(source):
-    """An analysis of a real buffer, or one built from random 33-bin frames."""
-    cfg = StftConfig(frame_len=64, hop=16)
+    """An analysis of a real buffer, or one built from random frames."""
     rng = np.random.default_rng(4)
-    frames = rng.random((5, cfg.n_bins)) * np.exp(2j * np.pi * rng.random((5, cfg.n_bins)))
+    frames = rng.random((5, N_BINS)) * np.exp(2j * np.pi * rng.random((5, N_BINS)))
     partitions = peak_reference.partitions(frames, 2)
     return {
         "voiced with gap": lambda: analyse_pitch(voiced_with_gap()),
@@ -283,9 +279,9 @@ def analysis_from(source):
         "silence": lambda: analyse_pitch(AudioBuffer(np.zeros(4000), SR)),
         "built: gaps": lambda: pitch_analysis(
             frames, [partitions[0], None, partitions[2], None, partitions[4]],
-            np.zeros(frames.shape), cfg,
+            np.zeros(frames.shape),
         ),
-        "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape), cfg),
+        "built: none": lambda: pitch_analysis(frames, [None] * 5, np.zeros(frames.shape)),
     }[source]()
 
 
@@ -334,7 +330,7 @@ class TestAnalyseOnce:
         assert analysis.bin_region.tobytes() == want.tobytes()
         # Voiced frame after voiced frame, n_bins entries each: the rows of
         # frame t are offsets[t] plus the one-frame form of its partition.
-        table = analysis.bin_region.reshape(-1, analysis.config.n_bins)
+        table = analysis.bin_region.reshape(-1, N_BINS)
         voiced = [(t, p) for t, p in enumerate(frame_partitions(analysis)) if p is not None]
         assert len(table) == len(voiced)
         for row, (t, p) in zip(table, voiced):
@@ -397,16 +393,15 @@ def boundary_frames():
     by those exact multiples of pi, so their phase steps put princarg's
     argument exactly on a ceil boundary, an odd multiple of pi.
     """
-    cfg = StftConfig()
     rng = np.random.default_rng(11)
-    frames = rng.standard_normal((6, cfg.n_bins)) + 1j * rng.standard_normal((6, cfg.n_bins))
+    frames = rng.standard_normal((6, N_BINS)) + 1j * rng.standard_normal((6, N_BINS))
     angles = np.array([0.0, np.pi, -np.pi])
     for k in (0, 2, 4, 8):
         values = angles[rng.integers(0, 3, 6)]
         # -1 - 0j has angle -pi: arctan2(-0.0, -1.0).
         negative = np.where(values > 0, -1.0 + 0j, complex(-1.0, -0.0))
         frames[:, k] = np.where(values == 0.0, 1.0, negative)
-    return frames, cfg.hop
+    return frames, HOP
 
 
 class TestInstantaneousFrequency:
@@ -429,13 +424,12 @@ class TestInstantaneousFrequency:
         got = _instantaneous_frequency(phase, hop)
         assert got.tobytes() == frozen_inst_freq(frames, hop).tobytes()
 
-    @pytest.mark.parametrize("cfg", [StftConfig(), StftConfig(frame_len=256, hop=100)])
-    def test_analysis_of_buffers(self, cfg):
+    def test_analysis_of_buffers(self):
         rng = np.random.default_rng(12)
         for buf in (voiced_with_gap(), AudioBuffer(rng.standard_normal(6000), SR),
                     make_tone(440.0, seconds=0.01)):
-            want = frozen_inst_freq(stft(buf, cfg).frames, cfg.hop)
-            assert analyse_pitch(buf, cfg).inst_freq.tobytes() == want.tobytes()
+            want = frozen_inst_freq(stft(buf), HOP)
+            assert analyse_pitch(buf).inst_freq.tobytes() == want.tobytes()
 
 
 class TestMemory:
@@ -475,7 +469,7 @@ ANALYSIS_EDITS = {
     "gap between regions": set_entry("regions", (3, 1), 9),
     "overlapping regions": set_entry("regions", (3, 1), 7),
     "first region not at bin 0": set_entry("regions", (2, 1), 1),
-    "region past the top bin": set_entry("regions", (4, 2), 33),
+    "region past the top bin": set_entry("regions", (4, 2), 513),
     "peak outside its region": set_entry("regions", (0, 0), 11),
     "offsets not from 0": set_entry("offsets", 0, 1),
     "offsets decreasing": set_entry("offsets", 2, 1),
@@ -488,7 +482,9 @@ ANALYSIS_EDITS = {
     "float offsets": lambda a: {"offsets": a.offsets.astype(float)},
     "inst_freq of another shape": lambda a: {"inst_freq": a.inst_freq[:2]},
     "real frames": lambda a: {"frames": a.frames.real},
-    "frames of another size": lambda a: {"config": StftConfig(frame_len=32, hop=8)},
+    "frames of another size": lambda a: {
+        "frames": a.frames[:, :-1], "inst_freq": a.inst_freq[:, :-1],
+    },
     "no frames": lambda a: {
         "frames": a.frames[:0], "inst_freq": a.inst_freq[:0], "regions": a.regions[:0],
         "offsets": a.offsets[:1],
@@ -514,8 +510,13 @@ class TestErrorContract:
         [
             lambda: PitchShiftSpec(5.0),
             lambda: PitchShiftSpec(1.0, variant="rigid"),
+            # Not a real number: each raised a bare TypeError, and True was taken as 1.0.
+            lambda: PitchShiftSpec("x"),
+            lambda: PitchShiftSpec(None),
+            lambda: PitchShiftSpec(1j),
+            lambda: PitchShiftSpec(True),
         ],
-        ids=["ratio", "variant"],
+        ids=["ratio", "variant", "text ratio", "None ratio", "complex ratio", "True ratio"],
     )
     def test_bad_arguments_are_invalid_config(self, call):
         with pytest.raises(InvalidConfig) as caught:
@@ -524,14 +525,13 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("edit", list(ANALYSIS_EDITS))
     def test_arrays_that_are_not_one_analysis_are_invalid_config(self, edit):
-        # Frames 0 and 2 of 33 bins are voiced, frame 1 is peak-free.
-        cfg = StftConfig(frame_len=64, hop=16)
+        # Frames 0 and 2 are voiced, frame 1 is peak-free.
         partitions = [
-            np.array([[5, 0, 10], [20, 11, 32]]),
+            np.array([[5, 0, 10], [20, 11, 512]]),
             None,
-            np.array([[3, 0, 7], [16, 8, 24], [28, 25, 32]]),
+            np.array([[3, 0, 7], [16, 8, 24], [28, 25, 512]]),
         ]
-        analysis = pitch_analysis(np.ones((3, 33)), partitions, np.zeros((3, 33)), cfg)
+        analysis = pitch_analysis(np.ones((3, N_BINS)), partitions, np.zeros((3, N_BINS)))
         with pytest.raises(InvalidConfig):
             dataclasses.replace(analysis, **ANALYSIS_EDITS[edit](analysis))
 

@@ -12,6 +12,7 @@ sample rate, or raises NonFiniteSignal for samples too large to transform.
 import gc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,23 +24,21 @@ from voicemask import (
     AudioBuffer,
     PhasePropagator,
     PitchShiftSpec,
-    Spectrogram,
-    StftConfig,
     analyse_pitch,
     istft,
     shift_analysed,
 )
 from voicemask.errors import NonFiniteSignal
 from voicemask.phase_vocoder import _BLOCK_FRAMES, _match, _ranks, _translation
+from voicemask.signal_core import FRAME_LEN, HOP, N_BINS
 from voicemask.vtln import FAMILIES, WarpSpec, vtln_transform
 
 import peak_reference
 import phase_reference
 from helpers import SR, frame_partitions, make_vowel, pitch_analysis, planned_tracks
 
-# 33 bins make shifts off both ends and colliding regions common; 513 is the
-# toolkit's default frame.
-CONFIGS = (StftConfig(frame_len=64, hop=16), StftConfig())
+# The two values of the analysis geometry the frozen reference reads.
+GEOMETRY = SimpleNamespace(hop=HOP, n_bins=N_BINS)
 RATIOS = st.one_of(st.sampled_from([0.25, 4.0, 1.0, 0.5, 2.0]), st.floats(0.25, 4.0))
 
 
@@ -50,11 +49,10 @@ def frame_sequences(draw):
     The partitions are the frozen reference's, over 2 or 4 neighbours, so
     the propagator meets sparser peak sets than analyse_pitch finds too.
     """
-    cfg = draw(st.sampled_from(CONFIGS))
     span = draw(st.sampled_from([2, 4]))
     voiced = draw(st.lists(st.booleans(), min_size=1, max_size=10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = cfg.n_bins
+    n = N_BINS
     frames, partitions, inst_freqs = [], [], []
     for is_voiced in voiced:
         frame = rng.random(n) * np.exp(2j * np.pi * rng.random(n))
@@ -62,7 +60,7 @@ def frame_sequences(draw):
         frames.append(frame)
         partitions.append(partition if is_voiced else None)
         inst_freqs.append(rng.uniform(-np.pi, 2.0 * np.pi, n))
-    return cfg, span, frames, partitions, inst_freqs
+    return span, frames, partitions, inst_freqs
 
 
 def angle_bytes(tracks):
@@ -85,20 +83,20 @@ class TestPropagatorOracle:
         give_inst_freq=st.booleans(),
     )
     def test_advance_matches_reference_bytes(self, sequence, ratio, variant, give_inst_freq):
-        cfg, span, frames, partitions, inst_freqs = sequence
+        span, frames, partitions, inst_freqs = sequence
         if not give_inst_freq:
             # Measured up front, as analyse_pitch does: row 0 holds the bin
             # centres. The reference measures it frame by frame instead.
             phase = np.angle(frames)
-            inst_freqs = [phase_reference.bin_frequencies(cfg.n_bins)] + [
-                phase_reference.instantaneous_freq(phase[t], phase[t - 1], cfg.hop)
+            inst_freqs = [phase_reference.bin_frequencies(N_BINS)] + [
+                phase_reference.instantaneous_freq(phase[t], phase[t - 1], HOP)
                 for t in range(1, len(frames))
             ]
         spec = PitchShiftSpec(ratio, variant)
-        analysis = pitch_analysis(frames, partitions, inst_freqs, cfg)
+        analysis = pitch_analysis(frames, partitions, inst_freqs)
         prop = PhasePropagator(spec, analysis)
         tracks = planned_tracks(analysis, spec)
-        reference = phase_reference.ReferencePropagator(spec, cfg)
+        reference = phase_reference.ReferencePropagator(spec, GEOMETRY)
         for t, (frame, partition, inst_freq) in enumerate(zip(frames, partitions, inst_freqs)):
             want = reference.advance(frame, partition, inst_freq if give_inst_freq else None)
             assert_frame_matches(prop.advance(), want, tracks[t], reference)
@@ -109,15 +107,14 @@ class TestPropagatorOracle:
         # Editing a returned frame must not change the frames after it: not in
         # its block, and not through the phases its block carries into the
         # next (frames B and B + 1 are peak-free).
-        cfg = CONFIGS[0]
         if cell == "3 frames":
             rng = np.random.default_rng(2)
-            frames = [rng.random(cfg.n_bins) + 0j for _ in range(3)]
+            frames = [rng.random(N_BINS) + 0j for _ in range(3)]
             partition = peak_reference.partitions(frames[:1], 2)[0]
-            inst_freq = np.zeros((3, cfg.n_bins))
-            analysis = pitch_analysis(frames, [partition, None, None], inst_freq, cfg)
+            inst_freq = np.zeros((3, N_BINS))
+            analysis = pitch_analysis(frames, [partition, None, None], inst_freq)
         else:
-            analysis = random_cell(cfg, 40, (B, B + 1), seed=40)
+            analysis = random_cell(40, (B, B + 1), seed=40)
         spec = PitchShiftSpec(1.5, variant)
         clean, edited = (PhasePropagator(spec, analysis) for _ in range(2))
         for _ in analysis.frames:
@@ -129,7 +126,7 @@ class TestPropagatorOracle:
     def test_dropped_propagator_is_freed_at_once(self, variant):
         # No reference cycle, so shift_analysed's del frees the plan and the
         # last block before it resynthesizes, without the cycle collector.
-        analysis = random_cell(CONFIGS[0], 40, (B, B + 1), seed=40)
+        analysis = random_cell(40, (B, B + 1), seed=40)
         gc.disable()
         try:
             prop = PhasePropagator(PitchShiftSpec(1.5, variant), analysis)
@@ -145,11 +142,10 @@ class TestPropagatorOracle:
 @st.composite
 def buffers_with_silences(draw):
     """A buffer whose voiced stretches sit between leading, inner and trailing silence."""
-    cfg = draw(st.sampled_from(CONFIGS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    quiet = st.integers(0, 3 * cfg.frame_len)
-    lengths = [draw(quiet), draw(st.integers(1, 4 * cfg.frame_len)), draw(quiet),
-               draw(st.integers(0, 4 * cfg.frame_len)), draw(quiet)]
+    quiet = st.integers(0, 3 * FRAME_LEN)
+    lengths = [draw(quiet), draw(st.integers(1, 4 * FRAME_LEN)), draw(quiet),
+               draw(st.integers(0, 4 * FRAME_LEN)), draw(quiet)]
     parts = []
     for k, length in enumerate(lengths):
         if k % 2:  # voiced: a few partials over noise
@@ -159,31 +155,30 @@ def buffers_with_silences(draw):
             parts.append(tone + 0.1 * rng.standard_normal(length))
         else:
             parts.append(np.zeros(length))
-    return cfg, AudioBuffer(np.concatenate(parts), 16000)
+    return AudioBuffer(np.concatenate(parts), 16000)
 
 
 class TestPlannedPathOracle:
     @settings(max_examples=150, deadline=None)
     @given(
-        case=buffers_with_silences(),
+        buf=buffers_with_silences(),
         ratio=RATIOS,
         variant=st.sampled_from(["identity-locked", "loose"]),
         measure=st.booleans(),
     )
-    def test_shift_analysed_matches_reference_bytes(self, case, ratio, variant, measure):
+    def test_shift_analysed_matches_reference_bytes(self, buf, ratio, variant, measure):
         # With measure, the reference takes the instantaneous frequency from
         # consecutive phases itself rather than from the analysis.
-        cfg, buf = case
-        analysis = analyse_pitch(buf, cfg)
+        analysis = analyse_pitch(buf)
         spec = PitchShiftSpec(ratio, variant)
-        reference = phase_reference.ReferencePropagator(spec, cfg)
+        reference = phase_reference.ReferencePropagator(spec, GEOMETRY)
         frames = np.array([
             reference.advance(frame, partition, None if measure else inst_freq)
             for frame, partition, inst_freq in zip(
                 analysis.frames, frame_partitions(analysis), analysis.inst_freq
             )
         ])
-        want = istft(Spectrogram(frames, cfg, buf.sample_rate), len(buf))
+        want = istft(frames, buf.sample_rate, len(buf))
         assert shift_analysed(analysis, spec).samples.tobytes() == want.samples.tobytes()
 
 
@@ -191,15 +186,14 @@ def assert_matches_reference(analysis, spec):
     """Every advance() frame, its planned angles and shift_analysed equal the reference's bytes."""
     prop = PhasePropagator(spec, analysis)
     tracks = planned_tracks(analysis, spec)
-    reference = phase_reference.ReferencePropagator(spec, analysis.config)
+    reference = phase_reference.ReferencePropagator(spec, GEOMETRY)
     frames = []
     for t, (frame, partition, inst_freq) in enumerate(zip(
         analysis.frames, frame_partitions(analysis), analysis.inst_freq
     )):
         frames.append(reference.advance(frame, partition, inst_freq))
         assert_frame_matches(prop.advance(), frames[-1], tracks[t], reference)
-    spectrogram = Spectrogram(np.array(frames), analysis.config, analysis.sample_rate)
-    want = istft(spectrogram, analysis.n_samples)
+    want = istft(np.array(frames), analysis.sample_rate, analysis.n_samples)
     assert shift_analysed(analysis, spec).samples.tobytes() == want.samples.tobytes()
 
 
@@ -215,17 +209,41 @@ PEAK_FREE_LAYOUTS = {
 }
 
 
-def random_cell(cfg, n_frames, peak_free, seed):
-    """An analysis of random frames, peak-free at the given frames (all if None)."""
+def wide_region_magnitudes(rng, n_frames):
+    """Magnitudes with one to six wide regions a frame.
+
+    Each row is a sum of exponential bumps, convex between their centres, so
+    its only peaks are bump centres: regions up to the whole spectrum wide,
+    often with a peak next to a sentinel (bin 1 or N_BINS - 2). A shift
+    moves such a region partly or wholly off either end, or piles it onto a
+    few destination bins.
+    """
+    bins = np.arange(N_BINS)
+    mag = np.zeros((n_frames, N_BINS))
+    for row in mag:
+        centres = rng.integers(1, N_BINS - 1, rng.integers(1, 5))
+        centres = np.append(centres, rng.choice([1, N_BINS - 2], rng.integers(0, 3)))
+        for c in centres:
+            row += rng.uniform(0.2, 1.0) * np.exp(-np.abs(bins - c) / rng.uniform(2.0, 80.0))
+    return mag
+
+
+def random_cell(n_frames, peak_free, seed, wide=False):
+    """An analysis of random frames, peak-free at the given frames (all if None).
+
+    The magnitudes are uniform noise, with a peak every few bins, or with
+    wide, a few wide regions (wide_region_magnitudes).
+    """
     rng = np.random.default_rng(seed)
-    n = cfg.n_bins
-    frames = rng.random((n_frames, n)) * np.exp(2j * np.pi * rng.random((n_frames, n)))
+    n = N_BINS
+    mag = wide_region_magnitudes(rng, n_frames) if wide else rng.random((n_frames, n))
+    frames = mag * np.exp(2j * np.pi * rng.random((n_frames, n)))
     partitions = [
         None if peak_free is None or t in peak_free else partition
         for t, partition in enumerate(peak_reference.partitions(frames, 2))
     ]
     inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, (n_frames, n))
-    return pitch_analysis(frames, partitions, inst_freq, cfg)
+    return pitch_analysis(frames, partitions, inst_freq)
 
 
 class TestBlockBoundaries:
@@ -235,20 +253,42 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     @pytest.mark.parametrize("layout", list(PEAK_FREE_LAYOUTS))
     @pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 3 * B + 5])
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=["33 bins", "513 bins"])
-    def test_random_cells_match_reference_bytes(self, cfg, n_frames, layout, variant, ratio):
+    def test_random_cells_match_reference_bytes(self, n_frames, layout, variant, ratio):
         # A 513-bin block of B frames holds more than 256 KiB of complex values,
         # where numpy's temporary elision would swap a product's operands.
-        analysis = random_cell(cfg, n_frames, PEAK_FREE_LAYOUTS[layout], seed=n_frames)
+        analysis = random_cell(n_frames, PEAK_FREE_LAYOUTS[layout], seed=n_frames)
+        assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.84, 1.0, 1.19, 4.0])
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    @pytest.mark.parametrize("layout", list(PEAK_FREE_LAYOUTS))
+    @pytest.mark.parametrize("n_frames", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_wide_region_cells_match_reference_bytes(self, n_frames, layout, variant, ratio):
+        # Few peaks a frame, some next to the sentinels: a region's bins
+        # leave off both ends and collide far more than between the close
+        # peaks of uniform noise.
+        analysis = random_cell(n_frames, PEAK_FREE_LAYOUTS[layout], seed=n_frames, wide=True)
+        assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.84, 1.0, 1.19, 4.0])
+    @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
+    @pytest.mark.parametrize("n_frames", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("f0", [90.0, 150.0, 240.0])
+    def test_vowel_analyses_match_reference_bytes(self, f0, n_frames, variant, ratio):
+        # analyse_pitch's own peaks, regions and measured frequencies, at a
+        # harmonic spacing from 6 to 15 bins, across the block boundaries.
+        n_samples = (n_frames - 1) * HOP + FRAME_LEN
+        vowel = make_vowel(f0=f0, seconds=2.0).samples[:n_samples]
+        analysis = analyse_pitch(AudioBuffer(vowel, SR))
+        assert len(analysis.frames) == n_frames
         assert_matches_reference(analysis, PitchShiftSpec(ratio, variant))
 
     @pytest.mark.parametrize("variant", ["identity-locked", "loose"])
     def test_three_second_vowel_matches_reference_bytes(self, variant):
         # Silence around the second boundary leaves those frames peak-free.
-        cfg = StftConfig()
         samples = make_vowel(seconds=3.0).samples.copy()
-        samples[(2 * B - 2) * cfg.hop : (2 * B + 2) * cfg.hop + cfg.frame_len] = 0.0
-        analysis = analyse_pitch(AudioBuffer(samples, SR), cfg)
+        samples[(2 * B - 2) * HOP : (2 * B + 2) * HOP + FRAME_LEN] = 0.0
+        analysis = analyse_pitch(AudioBuffer(samples, SR))
         assert len(analysis.frames) > 5 * B
         peak_free = [t for t, p in enumerate(frame_partitions(analysis)) if p is None]
         assert peak_free == list(range(2 * B - 2, 2 * B + 3))
@@ -330,14 +370,14 @@ def ascending_keys(draw):
     return peak_frame, np.array(sum(dests, []), dtype=np.intp), size
 
 
-# Peaks per frame (None if peak-free) in 33 bins, and the sources _match must
-# give, row by row.
+# Peaks per frame (None if peak-free), and the sources _match must give, row
+# by row.
 MATCH_CASES = {
     # Peaks 10 and 12 both land on bin 3: frame 2 continues the second one.
     "r < 1, equal destinations": (0.25, [[10, 12], [10, 12], [10]], [-1, -1, 1, 1, 3]),
     "halfway between two tracks": (1.0, [[10, 16], [13]], [-1, -1, 0]),
     "4 and 5 bins from a track": (1.0, [[10, 30], [14, 25]], [-1, -1, 0, -1]),
-    "tracks next to the sentinels": (1.0, [[2, 30], [0, 32], [16]], [-1, -1, 0, 1, -1]),
+    "tracks next to the sentinels": (1.0, [[2, 510], [0, 512], [256]], [-1, -1, 0, 1, -1]),
     "peak-free frames between": (1.0, [[10, 20], None, None, [10, 20], [11]], [-1] * 4 + [2]),
     "one frame": (1.2, [[5, 20]], [-1, -1]),
 }
@@ -367,17 +407,16 @@ class TestTrackMatch:
     @pytest.mark.parametrize("case", list(MATCH_CASES))
     def test_targeted_cases(self, case, variant):
         ratio, peaks, want = MATCH_CASES[case]
-        cfg = CONFIGS[0]
         rng = np.random.default_rng(7)
-        shape = (len(peaks), cfg.n_bins)
+        shape = (len(peaks), N_BINS)
         frames = rng.random(shape) * np.exp(2j * np.pi * rng.random(shape))
         partitions = [
             None if p is None else peak_reference.regions_of_influence(np.abs(frame), p)
             for frame, p in zip(frames, peaks)
         ]
         inst_freq = rng.uniform(-np.pi, 2.0 * np.pi, shape)
-        analysis = pitch_analysis(frames, partitions, inst_freq, cfg)
-        shifts, _, size = _translation(ratio, cfg.n_bins)
+        analysis = pitch_analysis(frames, partitions, inst_freq)
+        shifts, _, size = _translation(ratio, N_BINS)
         dests = analysis.regions[:, 0] + shifts[analysis.regions[:, 0]]
         assert brute_force_sources(analysis.peak_frame, dests) == want
         assert _match(analysis.peak_frame, dests, size).tolist() == want

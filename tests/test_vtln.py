@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 import voicemask.vtln as vtln
 from voicemask import (
+    FAMILIES,
     AudioBuffer,
     DegreeSchedule,
-    StftConfig,
     WarpAnalysis,
     WarpSpec,
     analyse_warp,
@@ -23,6 +24,7 @@ from voicemask import (
     warp_value,
 )
 from voicemask.errors import InvalidAlpha, InvalidConfig, NotInvertible, VoicemaskError
+from voicemask.signal_core import N_BINS
 
 from helpers import SR, dominant_freq, interior_snr_db, make_tone, make_vowel
 
@@ -67,6 +69,12 @@ class TestWarpSpecValidation:
             ("symmetric", np.inf),
             ("power", np.nan),
             ("asymmetric", 5e-324),  # subnormal: pi / alpha overflows
+            # Not a real number: float() raised a bare ValueError or
+            # TypeError, and True was taken as 1.0.
+            ("quadratic", "x"),
+            ("quadratic", None),
+            ("quadratic", 1j),
+            ("quadratic", True),
         ],
     )
     def test_out_of_range_alpha(self, family, alpha):
@@ -82,6 +90,16 @@ class TestWarpSpecValidation:
         with pytest.raises(InvalidConfig) as caught:
             call(WarpSpec("power", 0.6), np.array([0.5, 4.0]))
         assert isinstance(caught.value, VoicemaskError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.array([0.5, np.nan, 1.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("call", [warp_value, invert_warp])
+    @pytest.mark.parametrize("spec", [WarpSpec(f, 0.3) for f in FAMILIES], ids=FAMILIES)
+    def test_nan_frequency_is_invalid_config(self, spec, call, omega):
+        # NaN passed the range check and came back as nan; bilinear also warned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match="must lie in"):
+                call(spec, omega)
 
 
 class TestHandValues:
@@ -187,7 +205,7 @@ class TestWarpSpectrum:
     def test_identity_parameter_preserves_frame(self):
         buf = AudioBuffer(np.random.default_rng(0).standard_normal(SR // 2), SR)
         analysis = analyse_warp(buf)
-        plain = istft(stft(buf), len(buf)).samples
+        plain = istft(stft(buf), SR, len(buf)).samples
         for spec in IDENTITY_SPECS:
             np.testing.assert_allclose(warp_analysed(analysis, spec).samples, plain, atol=1e-9)
 
@@ -196,7 +214,7 @@ class TestWarpSpectrum:
         n = 513
         peak_bin = 120
         out = warp_analysed(analyse_warp(make_tone(peak_bin * SR / 1024, seconds=0.5)), spec)
-        level = np.abs(stft(out).frames).mean(axis=0)
+        level = np.abs(stft(out)).mean(axis=0)
         expected_bin = warp_value(spec, np.pi * peak_bin / (n - 1)) / np.pi * (n - 1)
         # Resynthesis keeps the input's phase advance, which smears the
         # re-analysed peak by about a bin.
@@ -207,13 +225,12 @@ class TestWarpSpectrum:
         assert np.all(out.samples == 0)
 
     def test_bin_count_preserved(self):
-        cfg = StftConfig(frame_len=512, hop=128)
         buf = make_tone(700.0, seconds=0.25)
-        out = vtln_transform(buf, WarpSpec("power", 0.8), cfg)
+        out = vtln_transform(buf, WarpSpec("power", 0.8))
         assert len(out) == len(buf)
-        shape = analyse_warp(buf, cfg).magnitude.shape
-        assert shape[1] == 257
-        assert stft(out, cfg).frames.shape == shape
+        shape = analyse_warp(buf).magnitude.shape
+        assert shape[1] == N_BINS
+        assert stft(out).shape == shape
 
 
 class TestVtlnTransform:
@@ -308,7 +325,7 @@ class TestResampleFrames:
         for buf in bufs:
             analysis = analyse_warp(buf)
             for spec in ANALYSIS_SPECS + self.SWEEP_SPECS:
-                pos = vtln._source_positions(spec, analysis.config.n_bins)
+                pos = vtln._source_positions(spec)
                 got = vtln._resample_frames(analysis.magnitude, analysis.phase, pos)
                 want = straightforward_resample(analysis.magnitude, analysis.phase, pos)
                 assert got.dtype == np.complex128
@@ -363,7 +380,7 @@ class TestUnwrapRows:
         manifest = synth_corpus(3, 2, 2, tmp_path)
         for entry in manifest.entries[:2]:
             buf = read_wav(entry.path)
-            want = np.unwrap(np.angle(stft(buf).frames), axis=1)
+            want = np.unwrap(np.angle(stft(buf)), axis=1)
             assert analyse_warp(buf).phase.tobytes() == want.tobytes()
 
 
@@ -372,7 +389,7 @@ def real_frames(n_frames, n_bins=513):
 
 
 class TestWarpAnalysisChecks:
-    """A WarpAnalysis must be one analysis of config.n_bins-bin frames."""
+    """A WarpAnalysis must be one analysis of N_BINS-bin frames."""
 
     CASES = {
         "phase with fewer bins": lambda: (real_frames(3), real_frames(3, 400)),
@@ -387,13 +404,13 @@ class TestWarpAnalysisChecks:
     def test_refused(self, case):
         magnitude, phase = self.CASES[case]()
         with pytest.raises(InvalidConfig):
-            WarpAnalysis(magnitude, phase, StftConfig(), SR, 1024)
+            WarpAnalysis(magnitude, phase, SR, 1024)
 
     @pytest.mark.parametrize("n_samples", [-10, 2.5, "7", True])
     def test_a_length_that_is_not_a_count_is_refused(self, n_samples):
         # istft refused the first three only after the whole warp; True passed as one sample.
         with pytest.raises(InvalidConfig, match="n_samples"):
-            WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, n_samples)
+            WarpAnalysis(real_frames(3), real_frames(3), SR, n_samples)
 
     @pytest.mark.parametrize("rate", [16000.5, "x", True, 0, None])
     def test_a_rate_that_is_not_a_count_is_refused(self, rate):
@@ -403,9 +420,9 @@ class TestWarpAnalysisChecks:
             dataclasses.replace(analysis, sample_rate=rate)
 
     def test_a_numpy_integer_rate_is_kept_as_an_int(self):
-        analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), np.int64(SR), 1024)
+        analysis = WarpAnalysis(real_frames(3), real_frames(3), np.int64(SR), 1024)
         assert type(analysis.sample_rate) is int and analysis.sample_rate == SR
 
     def test_one_analysis_is_accepted(self):
-        analysis = WarpAnalysis(real_frames(3), real_frames(3), StftConfig(), SR, 1024)
+        analysis = WarpAnalysis(real_frames(3), real_frames(3), SR, 1024)
         assert len(warp_analysed(analysis, WarpSpec("quadratic", 0.5))) == 1024
